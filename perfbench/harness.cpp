@@ -9,6 +9,7 @@
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -77,9 +78,16 @@ double median(std::vector<double> v) {
 
 // ---- metrics report -----------------------------------------------------
 
-void Report::add(const std::string& name, double value, const std::string& unit,
-                 std::uint64_t samples) {
-  metrics_.push_back(Metric{name, value, unit, samples});
+Report::Report(const std::vector<std::pair<std::string, std::string>>& names) {
+  for (const auto& [name, unit] : names) metrics_.push_back(Metric{name, 0.0, unit, 0});
+}
+
+void Report::set(const std::string& name, double value, std::uint64_t samples) {
+  const auto it = std::find_if(metrics_.begin(), metrics_.end(),
+                               [&](const Metric& m) { return m.name == name; });
+  if (it == metrics_.end()) throw std::logic_error("unknown metric " + name);
+  it->value = value;
+  it->samples = samples;
 }
 
 std::string Report::to_json(const std::string& indent) const {

@@ -15,6 +15,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fabric/executor.hpp"
@@ -66,11 +67,16 @@ struct Metric {
   std::uint64_t samples = 0;
 };
 
-/// Named metrics in insertion order; JSON-serialisable.
+/// Every metric of one mode, in report order, prefilled with zero and zero
+/// samples: a workload sets what it measures and the rest reports as not
+/// exercised. JSON-serialisable.
 class Report {
  public:
-  void add(const std::string& name, double value, const std::string& unit,
-           std::uint64_t samples);
+  Report() = default;
+  /// (name, unit) pairs in report order.
+  explicit Report(const std::vector<std::pair<std::string, std::string>>& names);
+  /// Set a declared metric; throws std::logic_error on an unknown name.
+  void set(const std::string& name, double value, std::uint64_t samples);
   std::string to_json(const std::string& indent) const;
 
  private:

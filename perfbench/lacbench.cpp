@@ -1,12 +1,10 @@
 // lacbench: runs one benchmark workload and prints its result as one JSON
 // object on stdout (metrics with units and sample counts, attempted and
 // failed operations, the workload's record fields, build provenance).
-// perfbench/run.py builds this, passes the workload parameters from
-// perfbench/spec.json, and writes the run record.
+// perfbench/run.py builds this and writes the run record. The workload
+// parameters are constants in workloads.cpp.
 //
 //   lacbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
-//            [--ladder r1,r2,...] [--report-rate r] [--latency-limit-ms ms]
-//            [--revisit-share x] [--reconcile-tol-pct p] [--setups k]
 //            [--trace-out <chrome trace path>]
 #include <cstdio>
 #include <cstdlib>
@@ -38,15 +36,8 @@ using namespace lacb;
 int usage(const std::string& why) {
   std::cerr << "lacbench: " << why
             << "\nusage: lacbench --workload <name> --seed <n> --seconds <s> "
-               "--trace <0|1> [options]\n";
+               "--trace <0|1> [--trace-out <path>]\n";
   return 2;
-}
-
-std::vector<double> parse_list(const std::string& s) {
-  std::vector<double> v;
-  std::stringstream ss(s);
-  for (std::string item; std::getline(ss, item, ',');) v.push_back(std::stod(item));
-  return v;
 }
 
 std::string provenance_json() {
@@ -79,18 +70,6 @@ int main(int argc, char** argv) {
         opt.seconds = std::stod(val);
       } else if (arg == "--trace") {
         opt.trace = val == "1";
-      } else if (arg == "--ladder") {
-        opt.ladder = parse_list(val);
-      } else if (arg == "--report-rate") {
-        opt.report_rate = std::stod(val);
-      } else if (arg == "--latency-limit-ms") {
-        opt.latency_limit_ms = std::stod(val);
-      } else if (arg == "--revisit-share") {
-        opt.revisit_share = std::stod(val);
-      } else if (arg == "--reconcile-tol-pct") {
-        opt.reconcile_tol_pct = std::stod(val);
-      } else if (arg == "--setups") {
-        opt.setups = std::stoi(val);
       } else if (arg == "--trace-out") {
         opt.trace_out = val;
       } else {
@@ -101,9 +80,7 @@ int main(int argc, char** argv) {
     return usage("malformed argument value");
   }
   if (!have_workload) return usage("--workload is required");
-  if (!(opt.seconds > 0.0) || opt.ladder.empty() || opt.revisit_share < 0.0 ||
-      opt.revisit_share >= 1.0)
-    return usage("out-of-range option");
+  if (!(opt.seconds > 0.0)) return usage("--seconds must be positive");
 
   Output out;
   try {

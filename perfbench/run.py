@@ -5,10 +5,11 @@
     python3 perfbench/run.py --self-test
 
 Builds perfbench/ (the fabric library from src/ plus the lacbench program)
-into .bench_build/ at the checkout root, runs lacbench with the workload
-parameters from perfbench/spec.json, and writes a run record with build
-provenance to .bench_build/runs/. The last line of stdout is one JSON
-object: {"correct", "attempted", "failed", "metrics": {name: {value, unit}}}.
+into .bench_build/ at the checkout root, runs lacbench (the workload
+parameters are constants in perfbench/workloads.cpp), and writes a run
+record with build provenance to .bench_build/runs/. The last line of
+stdout is one JSON object:
+{"correct", "attempted", "failed", "metrics": {name: {value, unit}}}.
 With --trace 0 the metrics are BENCHMARK.json's end_to_end list, with
 --trace 1 its per_layer list (from a separate traced pass; the Chrome trace
 goes next to the record).
@@ -91,32 +92,14 @@ def benchmark_metric_names(trace):
     return [m["name"] for m in bench["per_layer" if trace else "end_to_end"]]
 
 
-def lacbench_args(spec, args, trace_out):
-    serve = spec["serve_open"]
-    return [
-        os.path.join(BUILD, "lacbench"),
-        "--workload", args.workload,
-        "--seed", str(args.seed),
-        "--seconds", str(args.seconds),
-        "--trace", str(args.trace),
-        "--ladder", ",".join(str(r) for r in serve["ladder_rps"]),
-        "--report-rate", str(serve["report_rate_rps"]),
-        "--latency-limit-ms", str(serve["latency_limit_ms"]),
-        "--revisit-share", str(spec["explore_model"]["revisit_share"]),
-        "--reconcile-tol-pct", str(spec["reconcile_tolerance_pct"]),
-        "--setups", str(spec["setups_per_run"]),
-        "--trace-out", trace_out,
-    ]
-
-
 def run(args):
     build()
-    with open(os.path.join(HERE, "spec.json")) as f:
-        spec = json.load(f)
     os.makedirs(RUNS, exist_ok=True)
     stem = "%s-seed%d-trace%d" % (args.workload, args.seed, args.trace)
     trace_out = os.path.join(RUNS, stem + ".chrome.json") if args.trace else ""
-    cmd = lacbench_args(spec, args, trace_out)
+    cmd = [os.path.join(BUILD, "lacbench"), "--workload", args.workload,
+           "--seed", str(args.seed), "--seconds", str(args.seconds),
+           "--trace", str(args.trace), "--trace-out", trace_out]
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
@@ -140,7 +123,6 @@ def run(args):
     record["failures"] = problems
     record["provenance"] = dict(result["provenance"], **git_provenance(),
                                 tree_sha256=tree_digest())
-    record["spec"] = {k: v for k, v in spec.items() if k != "moves"}
     record["command"] = cmd[1:]
     record_path = os.path.join(RUNS, stem + ".json")
     with open(record_path, "w") as f:

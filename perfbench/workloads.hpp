@@ -17,18 +17,6 @@ struct Options {
   std::uint64_t seed = 1;
   double seconds = 10.0;
   bool trace = false;
-  /// serve_open: the fixed absolute rate ladder (req/s), the step whose
-  /// latency is reported, and the p99 limit measured from due time.
-  std::vector<double> ladder = {3000, 6000, 9000, 12000};
-  double report_rate = 6000;
-  double latency_limit_ms = 2.0;
-  /// explore_model: share of the sweep's points that revisit an earlier
-  /// signature.
-  double revisit_share = 0.5;
-  /// Largest share of traced end-to-end time the layer spans may leave
-  /// unattributed.
-  double reconcile_tol_pct = 5.0;
-  int setups = 5;
   std::string trace_out;  ///< Chrome trace path (traced runs)
 };
 
@@ -42,10 +30,9 @@ struct Output {
   std::vector<std::pair<std::string, std::string>> record;
 };
 
-/// Names of the workloads run_workload() accepts.
-const std::vector<std::string>& workload_names();
-
-/// Run one workload; false when the name is unknown.
+/// Run one workload; false when the name is unknown. out.metrics holds
+/// every metric of the run's mode (end_to_end_metrics() untraced,
+/// per_layer_metrics() traced).
 bool run_workload(const Options& opt, Output& out);
 
 /// Every end-to-end and per-layer metric (name, unit), in report order:
