@@ -71,10 +71,13 @@ Householder house(double& alpha, index_t n2, double* x2) {
   // Efficient formulation of Table 6.1 (right column).
   Householder h;
   const double chi2 = nrm2(n2, x2);
-  if (chi2 == 0.0 && alpha >= 0.0) {
-    h.tau = 0.5;  // convention: H = I when tail is zero
+  // tau = 1/2 with u2 = 0 is the reflection I - 2 e1 e1^T, and the trailing
+  // update and qr_form_q apply it as one: a zero tail still reflects alpha
+  // to rho = -alpha (the general formula below, as on the fabric). Only an
+  // all-zero column needs a case of its own (nu = 0); its image is zero.
+  if (chi2 == 0.0 && alpha == 0.0) {
+    h.tau = 0.5;
     h.rho = alpha;
-    alpha = h.rho;
     return h;
   }
   const double norm_x = std::hypot(alpha, chi2);

@@ -81,9 +81,6 @@ class CostCache {
   std::atomic<std::uint64_t> misses_{0};
 };
 
-/// Pre-PR-3 name, kept for callers of the cycle-only era.
-using CycleCache = CostCache;
-
 /// Asynchronous façade over any Executor: submissions return futures that
 /// resolve on the pool's worker threads. The wrapped executor must be
 /// thread-safe for independent requests (the Executor contract) and must

@@ -17,6 +17,7 @@ constexpr double kTau = 2.0 * std::numbers::pi;
 /// schedule is duplicated at the line level via fft64 batch calls.
 }  // namespace
 
+LAC_FMA_DISPATCH
 FftResult fft4096_four_step(const arch::CoreConfig& cfg, double bw_words_per_cycle,
                             const std::vector<cplx>& x) {
   const index_t n1 = 64, n2 = 64;

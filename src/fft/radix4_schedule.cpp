@@ -33,6 +33,7 @@ TimedCplx cmul_negi(const TimedCplx& a) {
 }
 /// Complex multiply by a twiddle constant: four FMA slots
 /// (two muls feeding two fused multiply-adds).
+LAC_FMA_DISPATCH
 TimedCplx cmul_w(sim::MacPipeline& mac, const TimedCplx& a, cplx w) {
   sim::TimedVal m_re = mac.mul(a.re, sim::at(w.real(), 0.0));
   sim::TimedVal m_im = mac.mul(a.im, sim::at(w.real(), 0.0));

@@ -2,14 +2,11 @@
 
 #include <cassert>
 
+#include "fabric/stream_schedule.hpp"
+
 namespace lac::kernels {
-namespace {
 
-index_t mem_a_addr(index_t i, index_t p, index_t mc, int nr) {
-  return i / nr + (mc / nr) * (p / nr);
-}
-
-}  // namespace
+using fabric::mem_a_addr;
 
 ChipGemmResult chip_gemm(const arch::ChipConfig& cfg, index_t mc, index_t kc,
                          ConstViewD a, ConstViewD b, ConstViewD c_in) {
@@ -57,6 +54,7 @@ ChipGemmResult chip_gemm(const arch::ChipConfig& cfg, index_t mc, index_t kc,
         // slice (replicated per PE column), stream the C block through the
         // accumulators, run kc rank-1 updates, stream the result out.
         sim::time_t_ dma_cursor = a_ready;
+        fabric::StreamSchedule sched(core);
         for (index_t jb = 0; jb < n / nr; ++jb) {
           for (index_t p = 0; p < kc; ++p)
             for (int cc = 0; cc < nr; ++cc)
@@ -73,19 +71,7 @@ ChipGemmResult chip_gemm(const arch::ChipConfig& cfg, index_t mc, index_t kc,
                 core.pe(rr, cc).mac.set_acc(
                     parity, sim::at(res.out(row0 + ib * nr + rr, jb * nr + cc),
                                     std::max(c_ready, b_ready)));
-            for (index_t p = 0; p < kc; ++p) {
-              const int owner = static_cast<int>(p % nr);
-              for (int rr = 0; rr < nr; ++rr) {
-                sim::TimedVal av = core.pe(rr, owner).mem_a.read(
-                    mem_a_addr(ib * nr + rr, p, mc, nr), b_ready);
-                sim::TimedVal a_b = core.broadcast_row(rr, av);
-                for (int cc = 0; cc < nr; ++cc) {
-                  sim::Pe& pe = core.pe(rr, cc);
-                  sim::TimedVal bv = pe.mem_b.read(p, b_ready);
-                  pe.mac.mac_into_acc(parity, a_b, bv);
-                }
-              }
-            }
+            sched.rank1_update(parity, 0, mc, ib * nr, 0, kc, 0, b_ready);
             sim::time_t_ drained = 0.0;
             for (int rr = 0; rr < nr; ++rr)
               for (int cc = 0; cc < nr; ++cc) {

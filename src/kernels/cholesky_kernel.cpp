@@ -11,6 +11,7 @@ namespace {
 /// Run the nr x nr Cholesky recurrence on timed values held per-PE.
 /// `av(r,c)` holds A(r,c) mirrored to both triangles. Returns the lower
 /// factor values in place.
+LAC_FMA_DISPATCH
 void chol_recurrence(sim::Core& core, std::vector<sim::TimedVal>& av) {
   const int nr = core.nr();
   auto at2 = [&](int r, int c) -> sim::TimedVal& {
@@ -80,6 +81,7 @@ KernelResult cholesky_inner(const arch::CoreConfig& cfg, ConstViewD a) {
   return res;
 }
 
+LAC_FMA_DISPATCH
 KernelResult cholesky_core(const arch::CoreConfig& cfg, double bw_words_per_cycle,
                            ConstViewD a) {
   // Blocked right-looking Cholesky with all data on-core. Diagonal blocks

@@ -8,6 +8,7 @@
 
 namespace lac::kernels {
 
+LAC_FMA_DISPATCH
 QrResult qr_panel(const arch::CoreConfig& cfg, ConstViewD a) {
   const int nr = cfg.nr;
   const index_t k = a.rows();

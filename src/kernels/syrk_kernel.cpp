@@ -16,6 +16,7 @@ namespace {
 /// rank-1 loop for the row panel `ib` of A (global rows ib*nr..ib*nr+nr-1),
 /// updating accumulators `parity`, and capture the transposed panel into
 /// MEM-B slot `slot` (replicated per PE column). Returns last issue time.
+LAC_FMA_DISPATCH
 sim::time_t_ syrk_diag_step(sim::Core& core, ConstViewD a, index_t ib, int parity,
                             index_t slot_base, sim::time_t_ gate) {
   const int nr = core.nr();

@@ -23,6 +23,7 @@ struct TrsmState {
   }
 };
 
+LAC_FMA_DISPATCH
 void trsm_batch(sim::Core& core, ConstViewD l, TrsmState& st, index_t cols,
                 const std::vector<index_t>& order) {
   // `order` lists block indices; per triangular iteration i we sweep the

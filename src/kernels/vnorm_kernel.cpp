@@ -7,6 +7,8 @@
 
 namespace lac::kernels {
 
+// lint-allow: fma-dispatch (one MAC per element, off the hot path: on an
+// AVX-512 Xeon an FMA clone of vnorm ran 5-8% slower per request)
 VnormResult vnorm(const arch::CoreConfig& cfg, const std::vector<double>& x,
                   int owner_col) {
   const int nr = cfg.nr;

@@ -63,11 +63,28 @@ class Core {
     ++row_xfers_;
     return {v.v, start + cfg_.bus_latency};
   }
+  /// `k` broadcast_row calls whose values are ready by the slot each one
+  /// gets (the bus runs back to back); returns the first arrival time.
+  time_t_ broadcast_row_n(int row, time_t_ ready, std::int64_t k) {
+    assert(row >= 0 && row < cfg_.nr);
+    const time_t_ start = row_bus_[static_cast<std::size_t>(row)].acquire_n(ready, 1.0, k);
+    row_xfers_ += k;
+    return start + cfg_.bus_latency;
+  }
   TimedVal broadcast_col(int col, TimedVal v) {
     assert(col >= 0 && col < cfg_.nr);
     const time_t_ start = col_bus_[static_cast<std::size_t>(col)].acquire(v.ready, 1.0);
     ++col_xfers_;
     return {v.v, start + cfg_.bus_latency};
+  }
+
+  const Resource& row_bus(int row) const {
+    assert(row >= 0 && row < cfg_.nr);
+    return row_bus_[static_cast<std::size_t>(row)];
+  }
+  const Resource& col_bus(int col) const {
+    assert(col >= 0 && col < cfg_.nr);
+    return col_bus_[static_cast<std::size_t>(col)];
   }
 
   /// ---- memory interface -------------------------------------------------

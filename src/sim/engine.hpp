@@ -14,6 +14,35 @@
 
 #include "common/types.hpp"
 
+// Hardware-FMA dispatch for the simulator's MAC hot paths. Every simulated
+// MAC computes std::fma; built for baseline x86-64 that is a call into
+// libm. Functions marked LAC_FMA_DISPATCH get a second clone compiled for
+// the FMA extension, and the loader picks the clone the CPU supports (no
+// flag selects it). IEEE fma is exactly rounded either way, so the bits do
+// not depend on the clone. Contraction must stay off so the FMA clone does
+// not fuse a multiply and an add that the default clone keeps apart: GCC
+// takes that per function from the attribute; Clang has no per-function
+// form, so the root CMakeLists builds with -ffp-contract=off. Mark the kernel
+// entry points whose inlined MacPipeline ops are hot (tools/lint/lint.py
+// flags MAC-issuing files without one). ThreadSanitizer instruments the
+// clone resolver, which the loader runs before the TSan runtime is up, so
+// TSan builds keep the default code only.
+#if defined(__SANITIZE_THREAD__)
+#define LAC_FMA_NO_CLONES
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define LAC_FMA_NO_CLONES
+#endif
+#endif
+#if defined(LAC_FMA_NO_CLONES) || !defined(__x86_64__) || !defined(__GNUC__)
+#define LAC_FMA_DISPATCH
+#elif defined(__clang__)
+#define LAC_FMA_DISPATCH __attribute__((target_clones("fma", "default")))
+#else
+#define LAC_FMA_DISPATCH \
+  __attribute__((target_clones("fma", "default"), optimize("fp-contract=off")))
+#endif
+
 namespace lac::sim {
 
 /// Simulated time in cycles. Fractional values arise from bandwidth-limited
@@ -39,6 +68,19 @@ class Resource {
     next_free_ = start + duration;
     busy_ += duration;
     ++ops_;
+    return start;
+  }
+
+  /// `k` back-to-back acquire(earliest, duration) calls at once; returns
+  /// the first start. Every call after the first starts where the previous
+  /// one ended, so the result equals the k single calls whenever the sums
+  /// are exact (callers check that their times lie on a dyadic grid).
+  time_t_ acquire_n(time_t_ earliest, time_t_ duration, std::int64_t k) {
+    const time_t_ start = std::max(earliest, next_free_);
+    const time_t_ total = static_cast<time_t_>(k) * duration;
+    next_free_ = start + total;
+    busy_ += total;
+    ops_ += k;
     return start;
   }
 

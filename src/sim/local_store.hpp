@@ -43,9 +43,21 @@ class LocalStore {
     return start + 1.0;
   }
 
+  /// Timing of `k` read() calls gated at `earliest` (the values are the
+  /// caller's, through peek/data); returns the first read's ready time.
+  time_t_ read_n(time_t_ earliest, std::int64_t k) {
+    const time_t_ start = port_.acquire_n(earliest, 1.0 / ports_, k);
+    reads_ += k;
+    return start + 1.0;
+  }
+
   /// Untimed accessors for DMA fills (timing charged on the DMA engine).
   double peek(index_t addr) const { return data_[static_cast<std::size_t>(addr)]; }
   void poke(index_t addr, double v) { data_[static_cast<std::size_t>(addr)] = v; }
+  const double* data() const { return data_.data(); }
+
+  /// The port group's timing state (aggregated over `ports()` ports).
+  const Resource& port() const { return port_; }
 
   std::int64_t reads() const { return reads_; }
   std::int64_t writes() const { return writes_; }

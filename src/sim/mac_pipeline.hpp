@@ -40,6 +40,36 @@ class MacPipeline {
     return issue;
   }
 
+  /// Timing of `k` chained mac_into_acc(idx, a_j, b_j) calls whose
+  /// operands are ready by the issue slot each one gets: the chain then
+  /// issues back to back. Returns the first issue time. The values are the
+  /// caller's (acc_value / set_acc_value, same fma order).
+  time_t_ mac_chain_n(int idx, std::int64_t k) {
+    assert(idx >= 0 && idx < static_cast<int>(accs_.size()) && k > 0);
+    Acc& acc = accs_[static_cast<std::size_t>(idx)];
+    const time_t_ first = issue_.acquire_n(std::max(acc.chain_free, 0.0), 1.0, k);
+    const time_t_ last = first + static_cast<time_t_>(k - 1);
+    acc.ready = last + p_;
+    acc.chain_free = last + 1.0;
+    mac_ops_ += k;
+    return first;
+  }
+  /// Value half of mac_into_acc, for sweeps that run the fma chain apart
+  /// from its timing.
+  double acc_value(int idx) const {
+    assert(idx >= 0 && idx < static_cast<int>(accs_.size()));
+    return accs_[static_cast<std::size_t>(idx)].value;
+  }
+  void set_acc_value(int idx, double v) {
+    assert(idx >= 0 && idx < static_cast<int>(accs_.size()));
+    accs_[static_cast<std::size_t>(idx)].value = v;
+  }
+  /// When the next chained MAC into accumulator `idx` may issue.
+  time_t_ acc_chain_free(int idx) const {
+    assert(idx >= 0 && idx < static_cast<int>(accs_.size()));
+    return accs_[static_cast<std::size_t>(idx)].chain_free;
+  }
+
   /// General 3-input FMA: returns a*b + c as a new value, ready p cycles
   /// after issue (used by TRSM updates, butterflies, ...).
   TimedVal fma(TimedVal a, TimedVal b, TimedVal c, time_t_ earliest = 0.0) {
@@ -112,6 +142,7 @@ class MacPipeline {
   std::int64_t cmp_ops() const { return cmp_ops_; }
   time_t_ issue_port_free() const { return issue_.next_free(); }
   time_t_ busy_cycles() const { return issue_.busy_cycles(); }
+  const Resource& issue_port() const { return issue_; }
 
   /// Block the issue port (e.g. software-emulated divide on this MAC).
   time_t_ occupy(time_t_ earliest, time_t_ cycles) { return issue_.acquire(earliest, cycles); }

@@ -53,6 +53,15 @@ compiles fine today and corrupts an invariant three PRs later:
                         `lint-allow: hot-alloc (reason)` comment on the
                         line or the two lines above it -- the reason is
                         mandatory.
+  fma-dispatch          Every file under src/kernels/, src/fft/ or
+                        src/fabric/stream_schedule.cpp that issues MAC ops
+                        (`.fma(`, `mac_into_acc`, `std::fma`) marks its
+                        entry points LAC_FMA_DISPATCH (sim/engine.hpp), so
+                        a new kernel does not silently fall back to the
+                        libm fma call on every simulated MAC. Waive a file
+                        whose MAC ops are not hot with a
+                        `lint-allow: fma-dispatch (reason)` comment -- the
+                        reason is mandatory.
 
 --artifact FILE validates a runtime artifact instead of sources: a
 BENCH_*.json (required `meta` provenance keys; `telemetry` metric names
@@ -445,6 +454,7 @@ METRIC_LITERAL = re.compile(r'"(lac\.[^"\\]*)"')
 METRIC_DIMENSIONLESS_TOKENS = {
     "hits", "misses", "inserts", "requests", "tasks", "jobs", "units",
     "depth", "events", "drops", "errors", "retries", "count", "steals",
+    "steps",
 }
 
 
@@ -510,6 +520,35 @@ def check_hot_alloc(tree):
                  "pool / Scratch freelists, hoist the buffer out of the "
                  "loop, or waive with `lint-allow: hot-alloc (reason)`")
             )
+    return findings
+
+
+# ---------------------------------------------------------------------------
+# fma-dispatch: MAC-issuing sim code compiles a hardware-FMA clone.
+
+FMA_DISPATCH_PATHS = ("src/kernels/", "src/fft/",
+                      "src/fabric/stream_schedule.cpp")
+MAC_OP_PATTERN = re.compile(r"\.fma\s*\(|\bmac_into_acc\s*\(|\bstd::fma\s*\(")
+FMA_DISPATCH_WAIVER = re.compile(r"lint-allow:\s*fma-dispatch\s*\(\S")
+
+
+def check_fma_dispatch(tree):
+    findings = []
+    for rel, text in tree.files.items():
+        if not any(rel.startswith(p) for p in FMA_DISPATCH_PATHS):
+            continue
+        clean = strip_comments(text)
+        op = MAC_OP_PATTERN.search(clean)
+        if not op or re.search(r"\bLAC_FMA_DISPATCH\b", clean):
+            continue
+        if FMA_DISPATCH_WAIVER.search(text):
+            continue
+        findings.append(
+            (rel, line_of(clean, op.start()),
+             "MAC ops without an LAC_FMA_DISPATCH entry point -- mark the "
+             "function whose inlined MacPipeline ops are hot (sim/engine.hpp), "
+             "or waive the file with `lint-allow: fma-dispatch (reason)`")
+        )
     return findings
 
 
@@ -738,6 +777,7 @@ CHECKS = {
     "raw-thread": check_raw_thread,
     "metric-names": check_metric_names,
     "hot-alloc": check_hot_alloc,
+    "fma-dispatch": check_fma_dispatch,
 }
 
 
@@ -842,6 +882,17 @@ def self_test(tree):
             "  return new double[8];\n} }\n"
         )
 
+    # fma-dispatch: a MAC-issuing kernel file without the dispatch macro.
+    def seed_fma_dispatch(files):
+        rel = "src/kernels/lu_kernel.cpp"
+        files[rel] = re.sub(r"\bLAC_FMA_DISPATCH\b", "", files[rel])
+
+    # fma-dispatch: a waiver without a reason must NOT silence the finding.
+    def seed_fma_dispatch_bare_waiver(files):
+        rel = "src/kernels/lu_kernel.cpp"
+        files[rel] = "// lint-allow: fma-dispatch\n" + re.sub(
+            r"\bLAC_FMA_DISPATCH\b", "", files[rel])
+
     seeds = [
         ("stray-kernel-switch", seed_switch),
         ("bench-schema", seed_bench_schema),
@@ -854,6 +905,8 @@ def self_test(tree):
         ("metric-names", seed_metric_case),
         ("hot-alloc", seed_hot_alloc),
         ("hot-alloc", seed_hot_alloc_bare_waiver),
+        ("fma-dispatch", seed_fma_dispatch),
+        ("fma-dispatch", seed_fma_dispatch_bare_waiver),
     ]
     for name, mutate in seeds:
         hits = run_checks(seeded(mutate), [name])
