@@ -10,6 +10,9 @@
 // in-order DMA cursor. This class owns that boilerplate so each kernel in
 // src/kernels reduces to its schedule-specific inner loop.
 #include <algorithm>
+#include <cassert>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/matrix.hpp"
@@ -36,6 +39,18 @@ inline index_t mem_a_addr(index_t i, index_t p, index_t rows, int nr) {
 struct Rank1Plan {
   std::vector<int> owner;       ///< owner column of step s (= (p_begin+s) % nr)
   std::vector<index_t> a_addr;  ///< a_base-relative address, [s * nr + r]
+  std::vector<index_t> reads;   ///< steps column o owns (MEM-A reads per row)
+};
+
+/// Geometry key of one rank-1 sweep: every field a plan's addresses depend
+/// on, nothing else (values stream through the plan unchanged).
+struct Rank1PlanKey {
+  int nr = 0;
+  index_t rows = 0;
+  index_t row0 = 0;
+  index_t p_begin = 0;
+  index_t p_end = 0;
+  bool operator==(const Rank1PlanKey&) const = default;
 };
 
 class StreamSchedule {
@@ -43,6 +58,11 @@ class StreamSchedule {
   /// Builds schedules on `core`; the in-order DMA cursor starts at `start`.
   explicit StreamSchedule(sim::Core& core, sim::time_t_ start = 0.0)
       : core_(core), cursor_(start) {}
+  /// Adds this schedule's sweep counts to the `lac.fabric.schedule.*`
+  /// counters.
+  ~StreamSchedule();
+  StreamSchedule(const StreamSchedule&) = delete;
+  StreamSchedule& operator=(const StreamSchedule&) = delete;
 
   sim::Core& core() { return core_; }
   int nr() const { return core_.nr(); }
@@ -91,25 +111,36 @@ class StreamSchedule {
 
   // ---- accumulator-blocked output ---------------------------------------
   /// Load an nr x nr block into accumulator set `parity`, every word timed
-  /// `ready` (typically its C-in DMA completion).
+  /// `ready` (typically its C-in DMA completion): MacPipeline::set_acc on
+  /// every PE, written straight into the accumulator lanes.
   template <typename ValueFn>
   void load_accumulators(int parity, sim::time_t_ ready, const ValueFn& value) {
     const int nr = core_.nr();
+    sim::MeshLanes& m = core_.lanes();
+    assert(parity >= 0 && parity < m.accumulators);
+    const std::size_t acc = sim::MeshLanes::acc_word(parity);
+    double* v = m.word(acc);
     for (int r = 0; r < nr; ++r)
-      for (int c = 0; c < nr; ++c)
-        core_.pe(r, c).mac.set_acc(parity, sim::at(value(r, c), ready));
+      for (int c = 0; c < nr; ++c) v[r * nr + c] = value(r, c);
+    std::fill_n(m.word(acc + 1), m.pes, ready);  // ready
+    std::fill_n(m.word(acc + 2), m.pes, ready);  // chain_free
   }
   /// Drain accumulator set `parity` through `sink(r, c, value)`; returns
-  /// the pipeline-drain completion (the earliest the block may stream out).
+  /// the pipeline-drain completion (the earliest the block may stream out):
+  /// MacPipeline::read_acc on every PE, read straight from the lanes.
   template <typename SinkFn>
   sim::time_t_ drain_accumulators(int parity, const SinkFn& sink) {
     const int nr = core_.nr();
+    const sim::MeshLanes& m = core_.lanes();
+    assert(parity >= 0 && parity < m.accumulators);
+    const std::size_t acc = sim::MeshLanes::acc_word(parity);
+    const double* v = m.word(acc);
+    const double* acc_ready = m.word(acc + 1);
     sim::time_t_ ready = 0.0;
     for (int r = 0; r < nr; ++r)
       for (int c = 0; c < nr; ++c) {
-        sim::TimedVal v = core_.pe(r, c).mac.read_acc(parity);
-        sink(r, c, v.v);
-        ready = std::max(ready, v.ready);
+        sink(r, c, v[r * nr + c]);
+        ready = std::max(ready, std::max(acc_ready[r * nr + c], 0.0));
       }
     return ready;
   }
@@ -125,8 +156,23 @@ class StreamSchedule {
                     sim::time_t_ gate, bool negate = false);
 
  private:
+  /// Sweep counts, added to the process-wide counters once, when the
+  /// schedule is destroyed (a sharded atomic add per sweep costs as much
+  /// as stepping a short one).
+  struct SweepCounts {
+    std::uint64_t plan_hits = 0;
+    std::uint64_t plan_misses = 0;
+    std::uint64_t ff_steps = 0;     ///< row-steps closed in steady state
+    std::uint64_t exact_steps = 0;  ///< row-steps stepped exactly
+  };
+
   sim::Core& core_;
   sim::time_t_ cursor_;
+  /// The last sweep's plan and key. The plan is shared with the
+  /// thread-local plan cache, so a cache restart cannot drop it.
+  Rank1PlanKey memo_key_;
+  std::shared_ptr<const Rank1Plan> memo_plan_;
+  SweepCounts counts_;
 };
 
 }  // namespace lac::fabric

@@ -56,29 +56,21 @@ ChipGemmResult chip_gemm(const arch::ChipConfig& cfg, index_t mc, index_t kc,
         sim::time_t_ dma_cursor = a_ready;
         fabric::StreamSchedule sched(core);
         for (index_t jb = 0; jb < n / nr; ++jb) {
-          for (index_t p = 0; p < kc; ++p)
-            for (int cc = 0; cc < nr; ++cc)
-              for (int rr = 0; rr < nr; ++rr)
-                core.pe(rr, cc).mem_b.poke(p, b(pp + p, jb * nr + cc));
+          sched.stage_panel_b(0, kc, [&](index_t p, int cc) { return b(pp + p, jb * nr + cc); });
           dma_cursor = chip.shared_dma(core_id, static_cast<double>(kc) * nr, dma_cursor);
           const sim::time_t_ b_ready = dma_cursor;
           for (index_t ib = 0; ib < mc / nr; ++ib) {
             const int parity = static_cast<int>((jb * (mc / nr) + ib) % 2);
             dma_cursor = chip.shared_dma(core_id, static_cast<double>(nr) * nr, dma_cursor);
             const sim::time_t_ c_ready = dma_cursor;
-            for (int rr = 0; rr < nr; ++rr)
-              for (int cc = 0; cc < nr; ++cc)
-                core.pe(rr, cc).mac.set_acc(
-                    parity, sim::at(res.out(row0 + ib * nr + rr, jb * nr + cc),
-                                    std::max(c_ready, b_ready)));
+            sched.load_accumulators(parity, std::max(c_ready, b_ready), [&](int rr, int cc) {
+              return res.out(row0 + ib * nr + rr, jb * nr + cc);
+            });
             sched.rank1_update(parity, 0, mc, ib * nr, 0, kc, 0, b_ready);
-            sim::time_t_ drained = 0.0;
-            for (int rr = 0; rr < nr; ++rr)
-              for (int cc = 0; cc < nr; ++cc) {
-                sim::TimedVal v = core.pe(rr, cc).mac.read_acc(parity);
-                res.out(row0 + ib * nr + rr, jb * nr + cc) = v.v;
-                drained = std::max(drained, v.ready);
-              }
+            const sim::time_t_ drained =
+                sched.drain_accumulators(parity, [&](int rr, int cc, double v) {
+                  res.out(row0 + ib * nr + rr, jb * nr + cc) = v;
+                });
             dma_cursor = chip.shared_dma(core_id, static_cast<double>(nr) * nr,
                                          std::max(dma_cursor, drained));
           }

@@ -7,7 +7,7 @@ namespace lac::sim {
 Chip::Chip(const arch::ChipConfig& cfg) : cfg_(cfg) {
   cores_.reserve(static_cast<std::size_t>(cfg.cores));
   // Each core's private port gets an equal share of the aggregate on-chip
-  // bandwidth; the shared resource enforces the global cap.
+  // bandwidth.
   const double per_core_bw =
       cfg.onchip_bw_words_per_cycle / std::max(1, cfg.cores);
   for (int s = 0; s < cfg.cores; ++s)
@@ -21,7 +21,6 @@ time_t_ Chip::shared_dma(int s, double words, time_t_ earliest) {
   // The on-chip memory is banked with per-core channels (§4.1): aggregate
   // bandwidth is statically partitioned, so each core streams through its
   // private y/S words-per-cycle port with no cross-core serialization.
-  shared_if_.acquire(earliest, 0.0);  // occupancy statistics only
   return core(s).dma(words, earliest);
 }
 
@@ -34,7 +33,7 @@ time_t_ Chip::offchip_dma(double words, time_t_ earliest) {
 }
 
 time_t_ Chip::finish_time() const {
-  time_t_ t = std::max(shared_if_.next_free(), offchip_if_.next_free());
+  time_t_ t = offchip_if_.next_free();
   for (const auto& c : cores_) t = std::max(t, c->finish_time());
   return t;
 }
@@ -44,14 +43,6 @@ Stats Chip::stats() const {
   for (const auto& c : cores_) s += c->stats();
   s.dma_words += offchip_words_;
   return s;
-}
-
-double Chip::mac_utilization() const {
-  const time_t_ t = finish_time();
-  if (t <= 0.0) return 0.0;
-  const Stats s = stats();
-  return static_cast<double>(s.mac_ops + s.mul_ops) /
-         (t * cfg_.cores * cfg_.core.nr * cfg_.core.nr);
 }
 
 }  // namespace lac::sim

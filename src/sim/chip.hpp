@@ -1,7 +1,9 @@
 #pragma once
-// Multi-core LAP simulation (Ch. 4): S cores share the on-chip memory
-// interface; each core runs the same schedule on its own row-panel slice
-// of C, and the shared interface resource serializes their transfers.
+// Multi-core LAP simulation (Ch. 4): S cores share the on-chip memory;
+// each core runs the same schedule on its own row-panel slice of C. The
+// on-chip memory is banked with per-core channels, so the aggregate
+// bandwidth is statically partitioned and the cores' transfers do not
+// serialize against each other (see shared_dma).
 #include <functional>
 #include <memory>
 #include <vector>
@@ -19,8 +21,9 @@ class Chip {
   int cores() const { return static_cast<int>(cores_.size()); }
   Core& core(int s) { return *cores_[static_cast<std::size_t>(s)]; }
 
-  /// Stream `words` over the *shared* on-chip interface on behalf of core
-  /// s (also charges that core's private port). Returns completion time.
+  /// Stream `words` from the shared on-chip memory on behalf of core s,
+  /// through that core's y/S words-per-cycle channel. Returns completion
+  /// time.
   time_t_ shared_dma(int s, double words, time_t_ earliest);
 
   /// Stream `words` over the external (off-chip) interface.
@@ -28,12 +31,10 @@ class Chip {
 
   time_t_ finish_time() const;
   Stats stats() const;
-  double mac_utilization() const;
 
  private:
   arch::ChipConfig cfg_;
   std::vector<std::unique_ptr<Core>> cores_;
-  Resource shared_if_;   ///< y words/cycle aggregated over cores
   Resource offchip_if_;  ///< z words/cycle
   std::int64_t offchip_words_ = 0;
 };

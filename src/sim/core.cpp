@@ -5,18 +5,38 @@
 
 namespace lac::sim {
 
-Pe::Pe(const arch::CoreConfig& cfg, int accumulators)
-    : mac(cfg.pe.pipeline_stages, accumulators),
+MeshLanes::MeshLanes(int nr, int accumulators)
+    : pes(static_cast<std::size_t>(nr) * static_cast<std::size_t>(nr)),
+      accumulators(0),
+      row_bus(static_cast<std::size_t>(nr)) {
+  reset(accumulators);
+}
+
+void MeshLanes::reset(int accs) {
+  accumulators = accs;
+  words.assign(acc_word(accs) * pes, 0.0);
+  counts.assign(kCountFields * pes, 0);
+  row_bus.reset();
+}
+
+Pe::Pe(const arch::CoreConfig& cfg, MeshLanes& lanes, std::size_t lane)
+    : mac(cfg.pe.pipeline_stages, lanes.accumulators,
+          lanes.slot(MeshLanes::kIssueFree, MeshLanes::kIssueOps, lane)),
       mem_a(static_cast<index_t>(cfg.pe.mem_a_kbytes * 1024.0 /
                                  bytes_of(cfg.pe.precision)),
-            cfg.pe.mem_a_ports),
+            cfg.pe.mem_a_ports, lanes.slot(MeshLanes::kMemAFree, MeshLanes::kMemAOps, lane)),
       mem_b(static_cast<index_t>(cfg.pe.mem_b_kbytes * 1024.0 /
                                  bytes_of(cfg.pe.precision)),
-            cfg.pe.mem_b_ports),
+            cfg.pe.mem_b_ports, lanes.slot(MeshLanes::kMemBFree, MeshLanes::kMemBOps, lane)),
       rf(cfg.pe.register_file_entries) {}
 
-void Pe::reset(int accumulators) {
-  mac.reset(accumulators);
+void Pe::bind(MeshLanes& lanes, std::size_t lane) {
+  mac.bind(lanes.accumulators, lanes.slot(MeshLanes::kIssueFree, MeshLanes::kIssueOps, lane));
+  mem_a.bind(lanes.slot(MeshLanes::kMemAFree, MeshLanes::kMemAOps, lane));
+  mem_b.bind(lanes.slot(MeshLanes::kMemBFree, MeshLanes::kMemBOps, lane));
+}
+
+void Pe::reset() {
   mem_a.reset();
   mem_b.reset();
   rf.reset();
@@ -25,24 +45,25 @@ void Pe::reset(int accumulators) {
 Core::Core(const arch::CoreConfig& cfg, double bw_words_per_cycle, int accumulators)
     : cfg_(cfg),
       bw_(bw_words_per_cycle),
-      row_bus_(static_cast<std::size_t>(cfg.nr)),
+      lanes_(cfg.nr, accumulators),
       col_bus_(static_cast<std::size_t>(cfg.nr)),
       sfu_(cfg) {
-  pes_.reserve(static_cast<std::size_t>(cfg.nr) * cfg.nr);
-  for (int i = 0; i < cfg.nr * cfg.nr; ++i) pes_.emplace_back(cfg, accumulators);
+  const std::size_t pes = static_cast<std::size_t>(cfg.nr) * cfg.nr;
+  pes_.reserve(pes);
+  for (std::size_t i = 0; i < pes; ++i) pes_.emplace_back(cfg, lanes_, i);
 }
 
 void Core::reset(double bw_words_per_cycle, int accumulators) {
   bw_ = bw_words_per_cycle;
-  for (auto& pe : pes_) pe.reset(accumulators);
-  for (auto& b : row_bus_) b.reset();
+  lanes_.reset(accumulators);
+  for (std::size_t i = 0; i < pes_.size(); ++i) {
+    pes_[i].bind(lanes_, i);
+    pes_[i].reset();
+  }
   for (auto& b : col_bus_) b.reset();
   mem_if_.reset();
   sfu_.reset();
-  row_xfers_ = 0;
-  col_xfers_ = 0;
   dma_words_ = 0;
-  user_finish_ = 0.0;
 }
 
 TimedVal Core::special(SfuKind kind, int row, int col, TimedVal x, time_t_ earliest) {
@@ -68,48 +89,34 @@ TimedVal Core::special(SfuKind kind, int row, int col, TimedVal x, time_t_ earli
 }
 
 time_t_ Core::finish_time() const {
-  time_t_ t = user_finish_;
-  for (const auto& pe : pes_) {
-    t = std::max(t, pe.mac.issue_port_free());
-    // Accumulator drains are captured through read_acc by the kernels.
-  }
-  for (const auto& b : row_bus_) t = std::max(t, b.next_free());
+  time_t_ t = 0.0;
+  // Accumulator drains are captured through read_acc by the kernels.
+  const double* issue_free = lanes_.word(MeshLanes::kIssueFree);
+  for (std::size_t i = 0; i < lanes_.pes; ++i) t = std::max(t, issue_free[i]);
+  for (time_t_ free : lanes_.row_bus.next_free) t = std::max(t, free);
   for (const auto& b : col_bus_) t = std::max(t, b.next_free());
   t = std::max(t, mem_if_.next_free());
   return t;
 }
 
-void Core::barrier(time_t_ t) {
-  user_finish_ = std::max(user_finish_, t);
-  for (auto& pe : pes_) pe.mac.occupy(0.0, 0.0);  // no-op, keeps API uniform
-}
-
 Stats Core::stats() const {
   Stats s;
   for (const auto& pe : pes_) {
-    s.mac_ops += pe.mac.mac_ops();
-    s.mul_ops += pe.mac.mul_ops();
-    s.cmp_ops += pe.mac.cmp_ops();
     s.mem_a_reads += pe.mem_a.reads();
     s.mem_a_writes += pe.mem_a.writes();
     s.mem_b_reads += pe.mem_b.reads();
     s.mem_b_writes += pe.mem_b.writes();
     s.rf_reads += pe.rf.reads();
     s.rf_writes += pe.rf.writes();
+    s.mac_ops += pe.mac.mac_ops();
+    s.mul_ops += pe.mac.mul_ops();
+    s.cmp_ops += pe.mac.cmp_ops();
   }
-  s.row_bus_xfers = row_xfers_;
-  s.col_bus_xfers = col_xfers_;
+  for (std::int64_t ops : lanes_.row_bus.ops) s.row_bus_xfers += ops;
+  for (const auto& b : col_bus_) s.col_bus_xfers += b.ops();
   s.sfu_ops = sfu_.ops();
   s.dma_words = dma_words_;
   return s;
-}
-
-double Core::mac_utilization() const {
-  const time_t_ t = finish_time();
-  if (t <= 0.0) return 0.0;
-  const Stats s = stats();
-  return static_cast<double>(s.mac_ops + s.mul_ops) /
-         (t * cfg_.nr * cfg_.nr);
 }
 
 }  // namespace lac::sim

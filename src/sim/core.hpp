@@ -3,6 +3,7 @@
 // broadcast buses, a bandwidth-limited memory interface to the on-chip
 // memory, and a special-function unit (Fig 1.1 / Fig 3.1).
 #include <cassert>
+#include <cstddef>
 #include <vector>
 
 #include "arch/configs.hpp"
@@ -13,12 +14,62 @@
 
 namespace lac::sim {
 
-/// One processing element: MAC pipeline + MEM-A + MEM-B + register file.
-struct Pe {
-  Pe(const arch::CoreConfig& cfg, int accumulators);
+/// The mesh's per-PE state as per-field arrays, each field one contiguous
+/// array over the PEs (lane r * nr + c): `words` holds the word fields
+/// (Word, then value/ready/chain_free of each accumulator), `counts` the op
+/// counts (Count). Pe::mem_a, mem_b and mac are per-op views of their lane
+/// (a LaneSlot per unit); rank-1 sweeps step whole rows of lanes in place
+/// (fabric/stream_schedule.cpp). The row buses are lanes too (lane r).
+struct MeshLanes {
+  enum Word : std::size_t {
+    kMemAFree, kMemABusy,    ///< MEM-A port group next_free, busy
+    kMemBFree, kMemBBusy,    ///< MEM-B port group
+    kIssueFree, kIssueBusy,  ///< MAC issue port; MacPipeline's words follow
+  };
+  enum Count : std::size_t {
+    kMemAOps, kMemBOps,
+    kIssueOps, kMacOps, kMulOps, kCmpOps,  ///< MacPipeline's counts, in order
+    kCountFields
+  };
 
-  /// Restore fresh-constructed state (resizing the accumulator set).
+  MeshLanes(int nr, int accumulators);
+
+  /// Restore fresh-constructed state with `accumulators` per PE (the PEs
+  /// must re-bind: the word array may move).
   void reset(int accumulators);
+
+  /// Field `f` (a Word, or an accumulator word) over all lanes.
+  double* word(std::size_t f) { return words.data() + f * pes; }
+  const double* word(std::size_t f) const { return words.data() + f * pes; }
+  std::int64_t* count(std::size_t f) { return counts.data() + f * pes; }
+  const std::int64_t* count(std::size_t f) const { return counts.data() + f * pes; }
+  /// Accumulator `a`'s value field; ready and chain_free are the next two.
+  static constexpr std::size_t acc_word(int a) {
+    return kIssueFree + MacPipeline::kAccWords +
+           MacPipeline::kWordsPerAcc * static_cast<std::size_t>(a);
+  }
+  /// Lane `lane`'s unit whose first word and count fields are `w` and `n`.
+  LaneSlot slot(std::size_t w, std::size_t n, std::size_t lane) {
+    return {word(w) + lane, count(n) + lane, pes};
+  }
+
+  std::size_t pes;
+  int accumulators;
+  std::vector<double> words;
+  std::vector<std::int64_t> counts;
+  ResourceLanes row_bus;
+};
+
+/// One processing element: MAC pipeline + MEM-A + MEM-B + register file,
+/// viewing lane `lane` of the core's MeshLanes.
+struct Pe {
+  Pe(const arch::CoreConfig& cfg, MeshLanes& lanes, std::size_t lane);
+
+  /// Re-point the MAC and store ports at lane `lane` of `lanes`.
+  void bind(MeshLanes& lanes, std::size_t lane);
+  /// Restore fresh-constructed store and register-file contents (the lane
+  /// state is reset with the MeshLanes).
+  void reset();
 
   MacPipeline mac;
   LocalStore mem_a;
@@ -31,6 +82,9 @@ class Core {
   /// `bw_words_per_cycle` is the core <-> on-chip memory bandwidth x of
   /// §3.4; `accumulators` sizes the per-PE accumulator register set.
   Core(const arch::CoreConfig& cfg, double bw_words_per_cycle, int accumulators = 4);
+  // The PEs point into the core's lanes.
+  Core(const Core&) = delete;
+  Core& operator=(const Core&) = delete;
 
   /// Restore the exact fresh-constructed state for the same config under a
   /// (possibly different) bandwidth and accumulator count: zeroed local
@@ -59,33 +113,24 @@ class Core {
   /// value `bus_latency` cycles after the slot is granted.
   TimedVal broadcast_row(int row, TimedVal v) {
     assert(row >= 0 && row < cfg_.nr);
-    const time_t_ start = row_bus_[static_cast<std::size_t>(row)].acquire(v.ready, 1.0);
-    ++row_xfers_;
+    const time_t_ start = lanes_.row_bus.acquire(static_cast<std::size_t>(row), v.ready, 1.0);
     return {v.v, start + cfg_.bus_latency};
-  }
-  /// `k` broadcast_row calls whose values are ready by the slot each one
-  /// gets (the bus runs back to back); returns the first arrival time.
-  time_t_ broadcast_row_n(int row, time_t_ ready, std::int64_t k) {
-    assert(row >= 0 && row < cfg_.nr);
-    const time_t_ start = row_bus_[static_cast<std::size_t>(row)].acquire_n(ready, 1.0, k);
-    row_xfers_ += k;
-    return start + cfg_.bus_latency;
   }
   TimedVal broadcast_col(int col, TimedVal v) {
     assert(col >= 0 && col < cfg_.nr);
     const time_t_ start = col_bus_[static_cast<std::size_t>(col)].acquire(v.ready, 1.0);
-    ++col_xfers_;
     return {v.v, start + cfg_.bus_latency};
   }
 
-  const Resource& row_bus(int row) const {
-    assert(row >= 0 && row < cfg_.nr);
-    return row_bus_[static_cast<std::size_t>(row)];
-  }
   const Resource& col_bus(int col) const {
     assert(col >= 0 && col < cfg_.nr);
     return col_bus_[static_cast<std::size_t>(col)];
   }
+
+  /// The mesh's per-field timing state (the PEs' ports, MACs and
+  /// accumulators, and the row buses).
+  MeshLanes& lanes() { return lanes_; }
+  const MeshLanes& lanes() const { return lanes_; }
 
   /// ---- memory interface -------------------------------------------------
   /// Stream `words` over the core's memory interface starting no earlier
@@ -111,26 +156,20 @@ class Core {
   /// Latest completion time over every resource and accumulator: the
   /// makespan of everything issued so far.
   time_t_ finish_time() const;
-  /// Barrier: no resource may start before `t` afterwards.
-  void barrier(time_t_ t);
 
+  /// Activity counts; a bus transfer is one bus acquisition.
   Stats stats() const;
   double bw_words_per_cycle() const { return bw_; }
-  /// MAC issue-slot utilization over the makespan.
-  double mac_utilization() const;
 
  private:
   arch::CoreConfig cfg_;
   double bw_;
+  MeshLanes lanes_;
   std::vector<Pe> pes_;  ///< flat row-major mesh: one allocation, no per-PE indirection
-  std::vector<Resource> row_bus_;
   std::vector<Resource> col_bus_;
   Resource mem_if_;
   Sfu sfu_;
-  std::int64_t row_xfers_ = 0;
-  std::int64_t col_xfers_ = 0;
   std::int64_t dma_words_ = 0;
-  time_t_ user_finish_ = 0.0;  ///< extra completion constraints (barriers)
 };
 
 }  // namespace lac::sim

@@ -10,7 +10,9 @@
 // resource-free times. Functional values flow with the timestamps, so the
 // simulator simultaneously verifies numerics and yields exact cycle counts.
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "common/types.hpp"
 
@@ -57,6 +59,17 @@ struct TimedVal {
 
 inline TimedVal at(double v, time_t_ ready) { return {v, ready}; }
 
+/// The acquire recurrence of every structural resource: claim a slot no
+/// earlier than `earliest` for `duration` cycles; returns the start.
+inline time_t_ acquire_slot(time_t_& next_free, time_t_& busy, std::int64_t& ops,
+                            time_t_ earliest, time_t_ duration) {
+  const time_t_ start = std::max(earliest, next_free);
+  next_free = start + duration;
+  busy += duration;
+  ++ops;
+  return start;
+}
+
 /// A structural resource with one in-flight operation slot per cycle
 /// (issue port, bus, SRAM port) or a duration-based pipe (DMA engine).
 class Resource {
@@ -64,37 +77,53 @@ class Resource {
   /// Claim the resource no earlier than `earliest` for `duration` cycles.
   /// Returns the actual start time.
   time_t_ acquire(time_t_ earliest, time_t_ duration = 1.0) {
-    const time_t_ start = std::max(earliest, next_free_);
-    next_free_ = start + duration;
-    busy_ += duration;
-    ++ops_;
-    return start;
-  }
-
-  /// `k` back-to-back acquire(earliest, duration) calls at once; returns
-  /// the first start. Every call after the first starts where the previous
-  /// one ended, so the result equals the k single calls whenever the sums
-  /// are exact (callers check that their times lie on a dyadic grid).
-  time_t_ acquire_n(time_t_ earliest, time_t_ duration, std::int64_t k) {
-    const time_t_ start = std::max(earliest, next_free_);
-    const time_t_ total = static_cast<time_t_>(k) * duration;
-    next_free_ = start + total;
-    busy_ += total;
-    ops_ += k;
-    return start;
+    return acquire_slot(next_free_, busy_, ops_, earliest, duration);
   }
 
   time_t_ next_free() const { return next_free_; }
   time_t_ busy_cycles() const { return busy_; }
   std::int64_t ops() const { return ops_; }
   void reset() { next_free_ = 0.0; busy_ = 0.0; ops_ = 0; }
-  /// Fast-forward the resource (e.g. after a barrier).
-  void advance_to(time_t_ t) { next_free_ = std::max(next_free_, t); }
 
  private:
   time_t_ next_free_ = 0.0;
   time_t_ busy_ = 0.0;
   std::int64_t ops_ = 0;
+};
+
+/// `n` like resources (a mesh's row buses) as per-field arrays: lane i's next_free, busy and ops sit at index i of three
+/// contiguous arrays, so a sweep can step many lanes at once in place
+/// (fabric/stream_schedule.cpp) while per-op callers use acquire(i).
+struct ResourceLanes {
+  explicit ResourceLanes(std::size_t n) : next_free(n, 0.0), busy(n, 0.0), ops(n, 0) {}
+
+  time_t_ acquire(std::size_t i, time_t_ earliest, time_t_ duration = 1.0) {
+    return acquire_slot(next_free[i], busy[i], ops[i], earliest, duration);
+  }
+  void reset() {
+    std::fill(next_free.begin(), next_free.end(), 0.0);
+    std::fill(busy.begin(), busy.end(), 0.0);
+    std::fill(ops.begin(), ops.end(), 0);
+  }
+
+  std::vector<time_t_> next_free;
+  std::vector<time_t_> busy;
+  std::vector<std::int64_t> ops;
+};
+
+/// Where one unit's state sits in per-field lane arrays (sim::MeshLanes):
+/// its word fields at w[0], w[stride], w[2 * stride], ... and its count
+/// fields at n[0], n[stride], ... Per-op views (LocalStore, MacPipeline)
+/// hold one slot, so each field is one offset from a pointer.
+struct LaneSlot {
+  double* w = nullptr;
+  std::int64_t* n = nullptr;
+  std::size_t stride = 1;
+
+  /// The first word and count fields as a resource (next_free, busy, ops).
+  time_t_ acquire(time_t_ earliest, time_t_ duration) {
+    return acquire_slot(w[0], w[stride], n[0], earliest, duration);
+  }
 };
 
 /// Activity counters aggregated over a kernel run; the power model turns

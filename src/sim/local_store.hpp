@@ -9,6 +9,7 @@
 // DMA granularity by the kernels.
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -17,8 +18,13 @@ namespace lac::sim {
 
 class LocalStore {
  public:
-  LocalStore(index_t words, int ports) : data_(static_cast<std::size_t>(words), 0.0),
-                                         ports_(ports) {}
+  /// A store of `words` words whose port group (next_free, busy, ops)
+  /// lives at `port`.
+  LocalStore(index_t words, int ports, LaneSlot port)
+      : data_(static_cast<std::size_t>(words), 0.0),
+        ports_(ports),
+        access_(1.0 / ports),
+        port_(port) {}
 
   index_t size() const { return static_cast<index_t>(data_.size()); }
   int ports() const { return ports_; }
@@ -29,25 +35,15 @@ class LocalStore {
   /// Timed read: charges a port slot, value ready one cycle later.
   TimedVal read(index_t addr, time_t_ earliest) {
     assert(addr >= 0 && addr < size());
-    // `ports_` accesses fit in one cycle: charge 1/ports_ of a cycle each.
-    const time_t_ start = port_.acquire(earliest, 1.0 / ports_);
-    ++reads_;
+    const time_t_ start = port_.acquire(earliest, access_);
     return {data_[static_cast<std::size_t>(addr)], start + 1.0};
   }
   /// Timed write: charges a port slot.
   time_t_ write(index_t addr, double v, time_t_ earliest) {
     assert(addr >= 0 && addr < size());
-    const time_t_ start = port_.acquire(earliest, 1.0 / ports_);
+    const time_t_ start = port_.acquire(earliest, access_);
     data_[static_cast<std::size_t>(addr)] = v;
     ++writes_;
-    return start + 1.0;
-  }
-
-  /// Timing of `k` read() calls gated at `earliest` (the values are the
-  /// caller's, through peek/data); returns the first read's ready time.
-  time_t_ read_n(time_t_ earliest, std::int64_t k) {
-    const time_t_ start = port_.acquire_n(earliest, 1.0 / ports_, k);
-    reads_ += k;
     return start + 1.0;
   }
 
@@ -56,25 +52,26 @@ class LocalStore {
   void poke(index_t addr, double v) { data_[static_cast<std::size_t>(addr)] = v; }
   const double* data() const { return data_.data(); }
 
-  /// The port group's timing state (aggregated over `ports()` ports).
-  const Resource& port() const { return port_; }
+  /// Re-point the port group (its lanes moved).
+  void bind(LaneSlot port) { port_ = port; }
 
-  std::int64_t reads() const { return reads_; }
+  /// Every port access is a read or a write.
+  std::int64_t reads() const { return port_.n[0] - writes_; }
   std::int64_t writes() const { return writes_; }
-  void reset_counters() { reads_ = 0; writes_ = 0; port_.reset(); }
-  /// Restore fresh-constructed state: zeroed words (a freshly constructed
-  /// store is zero-initialized, and pooled reuse must be byte-identical to
-  /// construction), free port, zero counters.
+  /// Restore fresh-constructed contents: zeroed words (a freshly
+  /// constructed store is zero-initialized, and pooled reuse must be
+  /// byte-identical to construction) and no writes. The port lane is reset
+  /// with the lanes it lives in.
   void reset() {
     std::fill(data_.begin(), data_.end(), 0.0);
-    reset_counters();
+    writes_ = 0;
   }
 
  private:
   std::vector<double> data_;
   int ports_;
-  Resource port_;  ///< aggregated: `ports_` accesses per cycle
-  std::int64_t reads_ = 0;
+  time_t_ access_;  ///< port time per access: `ports_` accesses per cycle
+  LaneSlot port_;
   std::int64_t writes_ = 0;
 };
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "arch/presets.hpp"
 #include "sim/arena.hpp"
 #include "sim/chip.hpp"
@@ -123,38 +126,87 @@ TEST(ChipSim, OffchipInterfaceIndependent) {
   EXPECT_EQ(chip.stats().dma_words, 16);
 }
 
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+bool same_bytes(const ResourceLanes& a, const ResourceLanes& b) {
+  return same_bytes(a.next_free, b.next_free) && same_bytes(a.busy, b.busy) &&
+         same_bytes(a.ops, b.ops);
+}
+
+/// Every per-field lane array of two cores, byte for byte.
+void expect_same_lanes(const Core& got, const Core& want) {
+  const MeshLanes& g = got.lanes();
+  const MeshLanes& w = want.lanes();
+  EXPECT_EQ(g.pes, w.pes);
+  EXPECT_EQ(g.accumulators, w.accumulators);
+  EXPECT_TRUE(same_bytes(g.words, w.words));
+  EXPECT_TRUE(same_bytes(g.counts, w.counts));
+  EXPECT_TRUE(same_bytes(g.row_bus, w.row_bus));
+}
+
 TEST(CoreSim, ResetRestoresFreshConstructedState) {
-  // Dirty a core thoroughly -- bus slots, the memory interface, local-store
-  // contents, activity counters -- under one (bandwidth, accumulators)
-  // point, then reset() it to another. It must be indistinguishable from a
-  // never-used core: this is the contract SimArena's pooling relies on for
-  // the serving determinism guarantee.
+  // Dirty a core thoroughly through real ops -- bus slots, the memory
+  // interface, store ports and contents, MAC issue ports, accumulators,
+  // every op counter -- under one (bandwidth, accumulators) point, then
+  // reset() it to another. It must be indistinguishable from a never-used
+  // core: this is the contract SimArena's pooling relies on for the
+  // serving determinism guarantee.
   Core used(cfg(), 4.0, 2);
   used.broadcast_row(0, at(1.0, 0.0));
   used.broadcast_col(1, at(2.0, 0.0));
   used.dma(64.0, 0.0);
   used.pe(1, 2).mem_a.poke(7, 3.5);
-  used.pe(0, 0).mem_b.poke(0, -1.0);
+  used.pe(1, 2).mem_a.read(7, 3.0);
+  used.pe(0, 0).mem_b.write(0, -1.0, 2.0);
   used.pe(3, 3).rf.write(0, at(9.0, 0.0));
-  used.barrier(100.0);
+  Pe& pe = used.pe(2, 1);
+  pe.mac.set_acc(1, at(0.25, 5.0));
+  pe.mac.mac_into_acc(1, at(2.0, 1.0), at(3.0, 1.0));
+  pe.mac.mul(at(2.0, 0.0), at(2.0, 0.0));
+  pe.mac.compare_abs_max(at(1.0, 0.0), at(-2.0, 0.0), false);
+  pe.mac.occupy(20.0, 3.0);
+  used.special(SfuKind::Recip, 0, 0, at(4.0, 0.0));
   used.reset(2.0, 4);
 
   Core fresh(cfg(), 2.0, 4);
-  EXPECT_EQ(used.stats().row_bus_xfers, 0);
-  EXPECT_EQ(used.stats().dma_words, 0);
+  expect_same_lanes(used, fresh);
+  EXPECT_EQ(used.lanes().accumulators, 4);
+  for (int r = 0; r < used.nr(); ++r)
+    for (int c = 0; c < used.nr(); ++c) {
+      const Pe& u = used.pe(r, c);
+      const Pe& f = fresh.pe(r, c);
+      EXPECT_EQ(std::memcmp(u.mem_a.data(), f.mem_a.data(),
+                            static_cast<std::size_t>(f.mem_a.size()) * sizeof(double)),
+                0);
+      EXPECT_EQ(std::memcmp(u.mem_b.data(), f.mem_b.data(),
+                            static_cast<std::size_t>(f.mem_b.size()) * sizeof(double)),
+                0);
+      EXPECT_EQ(u.mem_a.writes(), 0);
+      EXPECT_EQ(u.mem_b.writes(), 0);
+      EXPECT_EQ(u.rf.reads(), 0);
+      EXPECT_EQ(u.rf.writes(), 0);
+    }
+  const Stats s = used.stats();
+  EXPECT_EQ(s.row_bus_xfers, 0);
+  EXPECT_EQ(s.col_bus_xfers, 0);
+  EXPECT_EQ(s.dma_words, 0);
+  EXPECT_EQ(s.sfu_ops, 0);
   EXPECT_DOUBLE_EQ(used.finish_time(), fresh.finish_time());
-  EXPECT_DOUBLE_EQ(used.pe(1, 2).mem_a.read(7, 0.0).v, 0.0);  // zeroed store
-  EXPECT_DOUBLE_EQ(used.pe(0, 0).mem_b.read(0, 0.0).v, 0.0);
   // Replay one op sequence on both; timings must agree exactly (no
   // residual bus or interface occupancy survives the reset).
   for (Core* c : {&used, &fresh}) {
     c->broadcast_row(0, at(1.0, 0.0));
     c->dma(16.0, 0.0);
+    c->pe(2, 1).mac.mac_into_acc(3, at(1.0, 0.0), at(1.0, 0.0));
   }
   EXPECT_DOUBLE_EQ(used.broadcast_row(0, at(2.0, 0.0)).ready,
                    fresh.broadcast_row(0, at(2.0, 0.0)).ready);
   EXPECT_DOUBLE_EQ(used.dma(4.0, 0.0), fresh.dma(4.0, 0.0));
   EXPECT_DOUBLE_EQ(used.finish_time(), fresh.finish_time());
+  expect_same_lanes(used, fresh);
 }
 
 TEST(SimArena, PooledCoreIsReusedOnlyForMatchingConfig) {

@@ -24,14 +24,32 @@ TEST(Resource, DurationBasedOccupancy) {
   EXPECT_DOUBLE_EQ(dma.next_free(), 7.5);
 }
 
-TEST(Resource, ResetAndAdvance) {
+TEST(Resource, Reset) {
   Resource r;
   r.acquire(0.0, 3.0);
-  r.advance_to(10.0);
-  EXPECT_DOUBLE_EQ(r.next_free(), 10.0);
+  r.acquire(10.0);
+  EXPECT_DOUBLE_EQ(r.next_free(), 11.0);
   r.reset();
   EXPECT_DOUBLE_EQ(r.next_free(), 0.0);
+  EXPECT_DOUBLE_EQ(r.busy_cycles(), 0.0);
   EXPECT_EQ(r.ops(), 0);
+}
+
+TEST(ResourceLanes, EachLaneActsAsAResource) {
+  ResourceLanes lanes(3);
+  Resource ref;
+  for (double earliest : {0.0, 0.0, 4.5, 1.0}) {
+    EXPECT_DOUBLE_EQ(lanes.acquire(1, earliest, 0.5), ref.acquire(earliest, 0.5));
+  }
+  EXPECT_DOUBLE_EQ(lanes.next_free[1], ref.next_free());
+  EXPECT_DOUBLE_EQ(lanes.busy[1], ref.busy_cycles());
+  EXPECT_EQ(lanes.ops[1], ref.ops());
+  // The other lanes are untouched.
+  EXPECT_DOUBLE_EQ(lanes.next_free[0], 0.0);
+  EXPECT_EQ(lanes.ops[2], 0);
+  lanes.reset();
+  EXPECT_DOUBLE_EQ(lanes.next_free[1], 0.0);
+  EXPECT_EQ(lanes.ops[1], 0);
 }
 
 TEST(Stats, AccumulateAndFlops) {
