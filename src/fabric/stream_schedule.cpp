@@ -125,11 +125,8 @@ struct Sweep {
 /// r, accumulator `parity` of each PE) and the per-op constants.
 struct SweepLanes {
   double* a_free;  ///< MEM-A ports
-  double* a_busy;
   double* b_free;  ///< MEM-B ports
-  double* b_busy;
   double* m_free;  ///< MAC issue ports
-  double* m_busy;
   double* ready;   ///< accumulator `parity`
   double* chain;
   double* bus_free;
@@ -144,20 +141,16 @@ SweepLanes sweep_lanes(sim::Core& core, int parity) {
   using sim::MeshLanes;
   MeshLanes& m = core.lanes();
   assert(parity >= 0 && parity < m.accumulators);
-  const std::size_t acc = MeshLanes::acc_word(parity);
   const sim::Pe& pe = core.pe(0, 0);
   return {m.word(MeshLanes::kMemAFree),
-          m.word(MeshLanes::kMemABusy),
           m.word(MeshLanes::kMemBFree),
-          m.word(MeshLanes::kMemBBusy),
           m.word(MeshLanes::kIssueFree),
-          m.word(MeshLanes::kIssueBusy),
-          m.word(acc + 1),
-          m.word(acc + 2),
+          m.word(MeshLanes::acc_word(parity, MeshLanes::kAccReady)),
+          m.word(MeshLanes::acc_word(parity, MeshLanes::kAccChain)),
           m.row_bus.next_free.data(),
           m.row_bus.busy.data(),
-          1.0 / pe.mem_a.ports(),
-          1.0 / pe.mem_b.ports(),
+          pe.mem_a.access_time(),
+          pe.mem_b.access_time(),
           static_cast<double>(core.config().bus_latency),
           pe.mac.depth()};
 }
@@ -170,26 +163,24 @@ index_t steps_to_use(const Sweep& w, index_t s, int o, int nr) {
 
 /// W lanes as one SIMD vector (GCC vector extension: AVX in the FMA
 /// clone, SSE2 halves in the default one); one lane is a plain double.
-typedef double Lanes2 __attribute__((vector_size(2 * sizeof(double))));
 typedef double Lanes4 __attribute__((vector_size(4 * sizeof(double))));
 template <int W> struct LaneVec;
 template <> struct LaneVec<1> { using type = double; };
-template <> struct LaneVec<2> { using type = Lanes2; };
 template <> struct LaneVec<4> { using type = Lanes4; };
 
 /// The lane half of a row step: for each of the row's PEs, LocalStore::
 /// read on MEM-B (acquire(gate, b_slot), ready a cycle after the start),
 /// then MacPipeline::mac_into_acc of the broadcast value that arrives at
 /// `arrive` (std::max({a.ready, b.ready, chain_free, 0.0}), which folds
-/// left, then the issue port's acquire(operands, 1.0)). W lanes at a time:
+/// left, then the issue port's claim of one cycle). W lanes at a time:
 /// std::max(x, y) is x < y ? y : x lane by lane, and the scalars splat
-/// exactly (no arithmetic on them).
+/// exactly (no arithmetic on them). A specialized mesh width (NR 4 or 8)
+/// steps four lanes at a time, any other one lane at a time.
 template <int NR>
 [[gnu::always_inline]] inline void step_lanes(int nr, double arrive, double gate,
                                               double b_slot, double depth, double* b_free,
-                                              double* b_busy, double* m_free, double* m_busy,
-                                              double* ready, double* chain) {
-  constexpr int W = NR == 0 ? 1 : (NR < 4 ? NR : 4);
+                                              double* m_free, double* ready, double* chain) {
+  constexpr int W = NR == 0 ? 1 : 4;
   using V = typename LaneVec<W>::type;
   V gate_v{};
   V arrive_v{};
@@ -205,11 +196,9 @@ template <int NR>
   const V zero{};
   const int n = NR == 0 ? nr : NR;
   for (int c = 0; c < n; c += W) {
-    V bf, bb, mf, mb, ch;
+    V bf, mf, ch;
     std::memcpy(&bf, b_free + c, sizeof(V));
-    std::memcpy(&bb, b_busy + c, sizeof(V));
     std::memcpy(&mf, m_free + c, sizeof(V));
-    std::memcpy(&mb, m_busy + c, sizeof(V));
     std::memcpy(&ch, chain + c, sizeof(V));
     const V b_start = gate_v < bf ? bf : gate_v;
     const V b_ready = b_start + 1.0;
@@ -218,15 +207,11 @@ template <int NR>
     operands = operands < zero ? zero : operands;
     const V issue = operands < mf ? mf : operands;
     bf = b_start + b_slot;
-    bb += b_slot;
     mf = issue + 1.0;
-    mb += 1.0;
     const V rd = issue + depth;
     ch = issue + 1.0;
     std::memcpy(b_free + c, &bf, sizeof(V));
-    std::memcpy(b_busy + c, &bb, sizeof(V));
     std::memcpy(m_free + c, &mf, sizeof(V));
-    std::memcpy(m_busy + c, &mb, sizeof(V));
     std::memcpy(ready + c, &rd, sizeof(V));
     std::memcpy(chain + c, &ch, sizeof(V));
   }
@@ -246,13 +231,12 @@ template <int NR>
   const std::size_t a = row + static_cast<std::size_t>(o);
   const double a_start = std::max(gate, l.a_free[a]);
   l.a_free[a] = a_start + l.a_slot;
-  l.a_busy[a] += l.a_slot;
   // Row broadcast: the bus's acquire(ready, 1.0); arrives bus_latency later.
   const double bus_start = std::max(a_start + 1.0, l.bus_free[r]);
   l.bus_free[r] = bus_start + 1.0;
   l.bus_busy[r] += 1.0;
   step_lanes<NR>(nr, bus_start + l.bus_latency, gate, l.b_slot, l.depth, l.b_free + row,
-                 l.b_busy + row, l.m_free + row, l.m_busy + row, l.ready + row, l.chain + row);
+                 l.m_free + row, l.ready + row, l.chain + row);
 }
 
 /// Is row r in steady state before step s (conditions above)?
@@ -279,8 +263,7 @@ bool row_on_grid(const SweepLanes& l, int nr, int r) {
   if (!on_grid(l.bus_free[r]) || !on_grid(l.bus_busy[r])) return false;
   const std::size_t row = static_cast<std::size_t>(r) * static_cast<std::size_t>(nr);
   for (std::size_t i = row; i < row + static_cast<std::size_t>(nr); ++i)
-    if (!on_grid(l.a_free[i]) || !on_grid(l.a_busy[i]) || !on_grid(l.b_free[i]) ||
-        !on_grid(l.b_busy[i]) || !on_grid(l.m_free[i]) || !on_grid(l.m_busy[i]) ||
+    if (!on_grid(l.a_free[i]) || !on_grid(l.b_free[i]) || !on_grid(l.m_free[i]) ||
         !on_grid(l.chain[i]))
       return false;
   return true;
@@ -304,7 +287,6 @@ void fast_forward_row(const SweepLanes& l, const Sweep& w, int nr, int r, index_
     const sim::time_t_ start = std::max(w.gate, l.a_free[a]);
     const sim::time_t_ total = static_cast<sim::time_t_>(rounds + (d < rest ? 1 : 0)) * l.a_slot;
     l.a_free[a] = start + total;
-    l.a_busy[a] += total;
     if (d == 0) first_ready = start + 1.0;
   }
   const sim::time_t_ steps = static_cast<sim::time_t_>(k);
@@ -312,14 +294,10 @@ void fast_forward_row(const SweepLanes& l, const Sweep& w, int nr, int r, index_
   l.bus_free[r] = bus_start + steps;
   l.bus_busy[r] += steps;
   for (std::size_t i = row; i < row + static_cast<std::size_t>(nr); ++i) {
-    const sim::time_t_ b_start = std::max(w.gate, l.b_free[i]);
-    const sim::time_t_ b_total = steps * l.b_slot;
-    l.b_free[i] = b_start + b_total;
-    l.b_busy[i] += b_total;
+    l.b_free[i] = std::max(w.gate, l.b_free[i]) + steps * l.b_slot;
     // The chain issues back to back from its first slot.
     const sim::time_t_ first = std::max(std::max(l.chain[i], 0.0), l.m_free[i]);
     l.m_free[i] = first + steps;
-    l.m_busy[i] += steps;
     const sim::time_t_ last = first + static_cast<sim::time_t_>(k - 1);
     l.ready[i] = last + l.depth;
     l.chain[i] = last + 1.0;
@@ -391,11 +369,9 @@ template <int NR>
     for (int o = 0; o < nr; ++o) a_ops[r * nr + o] += w.plan.reads[static_cast<std::size_t>(o)];
   for (std::int64_t& ops : m.row_bus.ops) ops += k;
   std::int64_t* b_ops = m.count(MeshLanes::kMemBOps);
-  std::int64_t* issue_ops = m.count(MeshLanes::kIssueOps);
   std::int64_t* mac_ops = m.count(MeshLanes::kMacOps);
   for (std::size_t i = 0; i < m.pes; ++i) {
     b_ops[i] += k;
-    issue_ops[i] += k;
     mac_ops[i] += k;
   }
 }
@@ -450,7 +426,6 @@ template <int NR>
 LAC_FMA_DISPATCH
 index_t sweep(sim::Core& core, const Sweep& w) {
   switch (core.nr()) {
-    case 2: return sweep_nr<2>(core, w);
     case 4: return sweep_nr<4>(core, w);
     case 8: return sweep_nr<8>(core, w);
     default: return sweep_nr<0>(core, w);

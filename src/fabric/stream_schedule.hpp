@@ -111,36 +111,25 @@ class StreamSchedule {
 
   // ---- accumulator-blocked output ---------------------------------------
   /// Load an nr x nr block into accumulator set `parity`, every word timed
-  /// `ready` (typically its C-in DMA completion): MacPipeline::set_acc on
-  /// every PE, written straight into the accumulator lanes.
+  /// `ready` (typically its C-in DMA completion).
   template <typename ValueFn>
   void load_accumulators(int parity, sim::time_t_ ready, const ValueFn& value) {
     const int nr = core_.nr();
-    sim::MeshLanes& m = core_.lanes();
-    assert(parity >= 0 && parity < m.accumulators);
-    const std::size_t acc = sim::MeshLanes::acc_word(parity);
-    double* v = m.word(acc);
     for (int r = 0; r < nr; ++r)
-      for (int c = 0; c < nr; ++c) v[r * nr + c] = value(r, c);
-    std::fill_n(m.word(acc + 1), m.pes, ready);  // ready
-    std::fill_n(m.word(acc + 2), m.pes, ready);  // chain_free
+      for (int c = 0; c < nr; ++c)
+        core_.pe(r, c).mac.set_acc(parity, sim::at(value(r, c), ready));
   }
   /// Drain accumulator set `parity` through `sink(r, c, value)`; returns
-  /// the pipeline-drain completion (the earliest the block may stream out):
-  /// MacPipeline::read_acc on every PE, read straight from the lanes.
+  /// the pipeline-drain completion (the earliest the block may stream out).
   template <typename SinkFn>
   sim::time_t_ drain_accumulators(int parity, const SinkFn& sink) {
     const int nr = core_.nr();
-    const sim::MeshLanes& m = core_.lanes();
-    assert(parity >= 0 && parity < m.accumulators);
-    const std::size_t acc = sim::MeshLanes::acc_word(parity);
-    const double* v = m.word(acc);
-    const double* acc_ready = m.word(acc + 1);
     sim::time_t_ ready = 0.0;
     for (int r = 0; r < nr; ++r)
       for (int c = 0; c < nr; ++c) {
-        sink(r, c, v[r * nr + c]);
-        ready = std::max(ready, std::max(acc_ready[r * nr + c], 0.0));
+        sim::TimedVal v = core_.pe(r, c).mac.read_acc(parity);
+        sink(r, c, v.v);
+        ready = std::max(ready, v.ready);
       }
     return ready;
   }

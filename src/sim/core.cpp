@@ -5,35 +5,20 @@
 
 namespace lac::sim {
 
-MeshLanes::MeshLanes(int nr, int accumulators)
-    : pes(static_cast<std::size_t>(nr) * static_cast<std::size_t>(nr)),
-      accumulators(0),
-      row_bus(static_cast<std::size_t>(nr)) {
-  reset(accumulators);
-}
-
-void MeshLanes::reset(int accs) {
-  accumulators = accs;
-  words.assign(acc_word(accs) * pes, 0.0);
-  counts.assign(kCountFields * pes, 0);
-  row_bus.reset();
-}
-
 Pe::Pe(const arch::CoreConfig& cfg, MeshLanes& lanes, std::size_t lane)
-    : mac(cfg.pe.pipeline_stages, lanes.accumulators,
-          lanes.slot(MeshLanes::kIssueFree, MeshLanes::kIssueOps, lane)),
+    : mac(cfg.pe.pipeline_stages, lanes, lane),
       mem_a(static_cast<index_t>(cfg.pe.mem_a_kbytes * 1024.0 /
                                  bytes_of(cfg.pe.precision)),
-            cfg.pe.mem_a_ports, lanes.slot(MeshLanes::kMemAFree, MeshLanes::kMemAOps, lane)),
+            cfg.pe.mem_a_ports, lanes.port(MeshLanes::kMemAFree, MeshLanes::kMemAOps, lane)),
       mem_b(static_cast<index_t>(cfg.pe.mem_b_kbytes * 1024.0 /
                                  bytes_of(cfg.pe.precision)),
-            cfg.pe.mem_b_ports, lanes.slot(MeshLanes::kMemBFree, MeshLanes::kMemBOps, lane)),
+            cfg.pe.mem_b_ports, lanes.port(MeshLanes::kMemBFree, MeshLanes::kMemBOps, lane)),
       rf(cfg.pe.register_file_entries) {}
 
 void Pe::bind(MeshLanes& lanes, std::size_t lane) {
-  mac.bind(lanes.accumulators, lanes.slot(MeshLanes::kIssueFree, MeshLanes::kIssueOps, lane));
-  mem_a.bind(lanes.slot(MeshLanes::kMemAFree, MeshLanes::kMemAOps, lane));
-  mem_b.bind(lanes.slot(MeshLanes::kMemBFree, MeshLanes::kMemBOps, lane));
+  mac.bind(lanes, lane);
+  mem_a.bind(lanes.port(MeshLanes::kMemAFree, MeshLanes::kMemAOps, lane));
+  mem_b.bind(lanes.port(MeshLanes::kMemBFree, MeshLanes::kMemBOps, lane));
 }
 
 void Pe::reset() {

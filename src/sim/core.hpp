@@ -10,58 +10,14 @@
 #include "sim/engine.hpp"
 #include "sim/local_store.hpp"
 #include "sim/mac_pipeline.hpp"
+#include "sim/mesh_lanes.hpp"
 #include "sim/sfu.hpp"
 
 namespace lac::sim {
 
-/// The mesh's per-PE state as per-field arrays, each field one contiguous
-/// array over the PEs (lane r * nr + c): `words` holds the word fields
-/// (Word, then value/ready/chain_free of each accumulator), `counts` the op
-/// counts (Count). Pe::mem_a, mem_b and mac are per-op views of their lane
-/// (a LaneSlot per unit); rank-1 sweeps step whole rows of lanes in place
-/// (fabric/stream_schedule.cpp). The row buses are lanes too (lane r).
-struct MeshLanes {
-  enum Word : std::size_t {
-    kMemAFree, kMemABusy,    ///< MEM-A port group next_free, busy
-    kMemBFree, kMemBBusy,    ///< MEM-B port group
-    kIssueFree, kIssueBusy,  ///< MAC issue port; MacPipeline's words follow
-  };
-  enum Count : std::size_t {
-    kMemAOps, kMemBOps,
-    kIssueOps, kMacOps, kMulOps, kCmpOps,  ///< MacPipeline's counts, in order
-    kCountFields
-  };
-
-  MeshLanes(int nr, int accumulators);
-
-  /// Restore fresh-constructed state with `accumulators` per PE (the PEs
-  /// must re-bind: the word array may move).
-  void reset(int accumulators);
-
-  /// Field `f` (a Word, or an accumulator word) over all lanes.
-  double* word(std::size_t f) { return words.data() + f * pes; }
-  const double* word(std::size_t f) const { return words.data() + f * pes; }
-  std::int64_t* count(std::size_t f) { return counts.data() + f * pes; }
-  const std::int64_t* count(std::size_t f) const { return counts.data() + f * pes; }
-  /// Accumulator `a`'s value field; ready and chain_free are the next two.
-  static constexpr std::size_t acc_word(int a) {
-    return kIssueFree + MacPipeline::kAccWords +
-           MacPipeline::kWordsPerAcc * static_cast<std::size_t>(a);
-  }
-  /// Lane `lane`'s unit whose first word and count fields are `w` and `n`.
-  LaneSlot slot(std::size_t w, std::size_t n, std::size_t lane) {
-    return {word(w) + lane, count(n) + lane, pes};
-  }
-
-  std::size_t pes;
-  int accumulators;
-  std::vector<double> words;
-  std::vector<std::int64_t> counts;
-  ResourceLanes row_bus;
-};
-
-/// One processing element: MAC pipeline + MEM-A + MEM-B + register file,
-/// viewing lane `lane` of the core's MeshLanes.
+/// One processing element: MAC pipeline + MEM-A + MEM-B + register file.
+/// The MAC and the store ports are views of lane `lane` of the core's
+/// MeshLanes.
 struct Pe {
   Pe(const arch::CoreConfig& cfg, MeshLanes& lanes, std::size_t lane);
 

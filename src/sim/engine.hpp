@@ -91,9 +91,10 @@ class Resource {
   std::int64_t ops_ = 0;
 };
 
-/// `n` like resources (a mesh's row buses) as per-field arrays: lane i's next_free, busy and ops sit at index i of three
-/// contiguous arrays, so a sweep can step many lanes at once in place
-/// (fabric/stream_schedule.cpp) while per-op callers use acquire(i).
+/// `n` like resources (a mesh's row buses) as per-field arrays: lane i's
+/// next_free, busy and ops sit at index i of three contiguous arrays, so a
+/// sweep can step many lanes at once in place (fabric/stream_schedule.cpp)
+/// while per-op callers use acquire(i).
 struct ResourceLanes {
   explicit ResourceLanes(std::size_t n) : next_free(n, 0.0), busy(n, 0.0), ops(n, 0) {}
 
@@ -109,21 +110,6 @@ struct ResourceLanes {
   std::vector<time_t_> next_free;
   std::vector<time_t_> busy;
   std::vector<std::int64_t> ops;
-};
-
-/// Where one unit's state sits in per-field lane arrays (sim::MeshLanes):
-/// its word fields at w[0], w[stride], w[2 * stride], ... and its count
-/// fields at n[0], n[stride], ... Per-op views (LocalStore, MacPipeline)
-/// hold one slot, so each field is one offset from a pointer.
-struct LaneSlot {
-  double* w = nullptr;
-  std::int64_t* n = nullptr;
-  std::size_t stride = 1;
-
-  /// The first word and count fields as a resource (next_free, busy, ops).
-  time_t_ acquire(time_t_ earliest, time_t_ duration) {
-    return acquire_slot(w[0], w[stride], n[0], earliest, duration);
-  }
 };
 
 /// Activity counters aggregated over a kernel run; the power model turns

@@ -5,22 +5,23 @@
 // Functional contents are flat word arrays addressed by the kernel mappers
 // (access patterns are sequential/auto-incrementing in the real hardware,
 // so explicit addresses carry no modeling cost). Port contention is timed
-// through one Resource per port group; block arrival times are tracked at
-// DMA granularity by the kernels.
+// on one lane per port group (sim::PortLane); block arrival times are
+// tracked at DMA granularity by the kernels.
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/mesh_lanes.hpp"
 
 namespace lac::sim {
 
 class LocalStore {
  public:
-  /// A store of `words` words whose port group (next_free, busy, ops)
-  /// lives at `port`.
-  LocalStore(index_t words, int ports, LaneSlot port)
+  /// A store of `words` words whose port group (next_free, ops) lives at
+  /// `port`.
+  LocalStore(index_t words, int ports, PortLane port)
       : data_(static_cast<std::size_t>(words), 0.0),
         ports_(ports),
         access_(1.0 / ports),
@@ -28,6 +29,8 @@ class LocalStore {
 
   index_t size() const { return static_cast<index_t>(data_.size()); }
   int ports() const { return ports_; }
+  /// Port time per access: `ports()` accesses share a cycle.
+  time_t_ access_time() const { return access_; }
 
   // read/write live in the header: they sit on the innermost loop of every
   // kernel schedule and must inline into the callers.
@@ -53,10 +56,10 @@ class LocalStore {
   const double* data() const { return data_.data(); }
 
   /// Re-point the port group (its lanes moved).
-  void bind(LaneSlot port) { port_ = port; }
+  void bind(PortLane port) { port_ = port; }
 
   /// Every port access is a read or a write.
-  std::int64_t reads() const { return port_.n[0] - writes_; }
+  std::int64_t reads() const { return *port_.ops - writes_; }
   std::int64_t writes() const { return writes_; }
   /// Restore fresh-constructed contents: zeroed words (a freshly
   /// constructed store is zero-initialized, and pooled reuse must be
@@ -71,7 +74,7 @@ class LocalStore {
   std::vector<double> data_;
   int ports_;
   time_t_ access_;  ///< port time per access: `ports_` accesses per cycle
-  LaneSlot port_;
+  PortLane port_;
   std::int64_t writes_ = 0;
 };
 

@@ -8,40 +8,19 @@
 #include <cassert>
 #include <cmath>
 #include <cstddef>
-#include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/mesh_lanes.hpp"
 
 namespace lac::sim {
 
 class MacPipeline {
  public:
-  /// Layout of a pipeline's state in its LaneSlot: word fields issue-port
-  /// next_free and busy, then value, ready and chain_free of each
-  /// accumulator; count fields issue-port ops, then MAC, multiply and
-  /// compare ops.
-  static constexpr std::size_t kAccWords = 2;  ///< first accumulator word
-  static constexpr std::size_t kWordsPerAcc = 3;
-  static constexpr std::size_t kCounts = 4;
-  static constexpr std::size_t words(int accumulators) {
-    return kAccWords + kWordsPerAcc * static_cast<std::size_t>(accumulators);
+  /// A p-stage pipeline whose state is lane `lane` of `lanes`.
+  MacPipeline(int pipeline_stages, MeshLanes& lanes, std::size_t lane)
+      : depth_(pipeline_stages) {
+    bind(lanes, lane);
   }
-
-  /// A stand-alone pipeline that owns its state.
-  MacPipeline(int pipeline_stages, int accumulators)
-      : depth_(pipeline_stages),
-        accumulators_(accumulators),
-        own_words_(words(accumulators), 0.0),
-        own_counts_(kCounts, 0),
-        s_{own_words_.data(), own_counts_.data(), 1} {}
-  /// A pipeline whose state lives at `slot` (a PE lane of sim::MeshLanes).
-  MacPipeline(int pipeline_stages, int accumulators, LaneSlot slot)
-      : depth_(pipeline_stages), accumulators_(accumulators), s_(slot) {}
-  // A copy would share the stand-alone state; a move keeps its buffers.
-  MacPipeline(const MacPipeline&) = delete;
-  MacPipeline& operator=(const MacPipeline&) = delete;
-  MacPipeline(MacPipeline&&) = default;
-  MacPipeline& operator=(MacPipeline&&) = default;
 
   time_t_ depth() const { return depth_; }
 
@@ -54,14 +33,13 @@ class MacPipeline {
   /// the same accumulator may issue one cycle after the previous one.
   /// Returns the issue time.
   time_t_ mac_into_acc(int idx, TimedVal a, TimedVal b, time_t_ earliest = 0.0) {
-    double* acc = acc_words(idx);
-    const std::size_t s = s_.stride;
-    const time_t_ operands = std::max({a.ready, b.ready, acc[2 * s], earliest});
-    const time_t_ issue = s_.acquire(operands, 1.0);
-    acc[0] = std::fma(a.v, b.v, acc[0]);
-    acc[s] = issue + depth_;
-    acc[2 * s] = issue + 1.0;  // delayed normalization: 1 acc/cycle
-    ++s_.n[s];
+    const std::size_t at = acc_at(idx);
+    const time_t_ operands = std::max({a.ready, b.ready, acc_chain_[at], earliest});
+    const time_t_ issue = claim(operands, 1.0);
+    acc_value_[at] = std::fma(a.v, b.v, acc_value_[at]);
+    acc_ready_[at] = issue + depth_;
+    acc_chain_[at] = issue + 1.0;  // delayed normalization: 1 acc/cycle
+    ++*mac_ops_;
     return issue;
   }
 
@@ -69,25 +47,22 @@ class MacPipeline {
   /// after issue (used by TRSM updates, butterflies, ...).
   TimedVal fma(TimedVal a, TimedVal b, TimedVal c, time_t_ earliest = 0.0) {
     const time_t_ operands = std::max({a.ready, b.ready, c.ready, earliest});
-    const std::size_t s = s_.stride;
-    const time_t_ issue = s_.acquire(operands, 1.0);
-    ++s_.n[s];
+    const time_t_ issue = claim(operands, 1.0);
+    ++*mac_ops_;
     return {std::fma(a.v, b.v, c.v), issue + depth_};
   }
 
   /// 2-input multiply (counted separately from MACs in the stats).
   TimedVal mul(TimedVal a, TimedVal b, time_t_ earliest = 0.0) {
     const time_t_ operands = std::max({a.ready, b.ready, earliest});
-    const std::size_t s = s_.stride;
-    const time_t_ issue = s_.acquire(operands, 1.0);
-    ++s_.n[2 * s];
+    const time_t_ issue = claim(operands, 1.0);
+    ++*mul_ops_;
     return {a.v * b.v, issue + depth_};
   }
   TimedVal add(TimedVal a, TimedVal b, time_t_ earliest = 0.0) {
     const time_t_ operands = std::max({a.ready, b.ready, earliest});
-    const std::size_t s = s_.stride;
-    const time_t_ issue = s_.acquire(operands, 1.0);
-    ++s_.n[2 * s];
+    const time_t_ issue = claim(operands, 1.0);
+    ++*mul_ops_;
     return {a.v + b.v, issue + depth_};
   }
 
@@ -97,57 +72,76 @@ class MacPipeline {
   TimedVal compare_abs_max(TimedVal a, TimedVal b, bool comparator_ext,
                            time_t_ earliest = 0.0) {
     const time_t_ operands = std::max({a.ready, b.ready, earliest});
-    ++s_.n[3 * s_.stride];
+    ++*cmp_ops_;
     if (comparator_ext) {
       // Dedicated exponent/mantissa comparator beside the MAC: 1 cycle.
-      const time_t_ issue = s_.acquire(operands, 1.0);
+      const time_t_ issue = claim(operands, 1.0);
       return {std::abs(a.v) >= std::abs(b.v) ? a.v : b.v, issue + 1.0};
     }
     // Emulated: subtract magnitudes on the MAC and examine the sign; costs
     // two issue slots and the result is only known after the pipeline drain.
-    const time_t_ issue = s_.acquire(operands, 2.0);
+    const time_t_ issue = claim(operands, 2.0);
     return {std::abs(a.v) >= std::abs(b.v) ? a.v : b.v, issue + 2.0 + depth_};
   }
 
   /// Read the accumulated value (forces normalization: pipeline drain).
   TimedVal read_acc(int idx, time_t_ earliest = 0.0) const {
-    const double* acc = acc_words(idx);
-    return {acc[0], std::max(acc[s_.stride], earliest)};
+    const std::size_t at = acc_at(idx);
+    return {acc_value_[at], std::max(acc_ready_[at], earliest)};
   }
   /// Preload an accumulator (e.g. with an incoming C element).
   void set_acc(int idx, TimedVal v) {
-    double* acc = acc_words(idx);
-    acc[0] = v.v;
-    acc[s_.stride] = v.ready;
-    acc[2 * s_.stride] = v.ready;
+    const std::size_t at = acc_at(idx);
+    acc_value_[at] = v.v;
+    acc_ready_[at] = v.ready;
+    acc_chain_[at] = v.ready;
   }
 
-  std::int64_t mac_ops() const { return s_.n[s_.stride]; }
-  std::int64_t mul_ops() const { return s_.n[2 * s_.stride]; }
-  std::int64_t cmp_ops() const { return s_.n[3 * s_.stride]; }
-  time_t_ issue_port_free() const { return s_.w[0]; }
-  /// Re-point the state (its lanes moved or the accumulator set resized).
-  void bind(int accumulators, LaneSlot slot) {
-    accumulators_ = accumulators;
-    s_ = slot;
+  std::int64_t mac_ops() const { return *mac_ops_; }
+  std::int64_t mul_ops() const { return *mul_ops_; }
+  std::int64_t cmp_ops() const { return *cmp_ops_; }
+  time_t_ issue_port_free() const { return *issue_free_; }
+  /// Point at lane `lane` of `lanes` (its arrays moved or resized).
+  void bind(MeshLanes& lanes, std::size_t lane) {
+    using M = MeshLanes;
+    issue_free_ = lanes.word(M::kIssueFree) + lane;
+    mac_ops_ = lanes.count(M::kMacOps) + lane;
+    mul_ops_ = lanes.count(M::kMulOps) + lane;
+    cmp_ops_ = lanes.count(M::kCmpOps) + lane;
+    acc_value_ = lanes.word(M::acc_word(0, M::kAccValue)) + lane;
+    acc_ready_ = lanes.word(M::acc_word(0, M::kAccReady)) + lane;
+    acc_chain_ = lanes.word(M::acc_word(0, M::kAccChain)) + lane;
+    acc_stride_ = M::kWordsPerAcc * lanes.pes;
+    accumulators_ = lanes.accumulators;
   }
 
   /// Block the issue port (e.g. software-emulated divide on this MAC).
-  time_t_ occupy(time_t_ earliest, time_t_ cycles) { return s_.acquire(earliest, cycles); }
+  time_t_ occupy(time_t_ earliest, time_t_ cycles) { return claim(earliest, cycles); }
 
  private:
-  /// Accumulator `idx`'s value word; ready and chain_free follow at one
-  /// and two strides.
-  double* acc_words(int idx) const {
+  /// Claim the issue port no earlier than `earliest` for `cycles` cycles;
+  /// returns the issue time.
+  time_t_ claim(time_t_ earliest, time_t_ cycles) {
+    const time_t_ issue = std::max(earliest, *issue_free_);
+    *issue_free_ = issue + cycles;
+    return issue;
+  }
+  /// Offset of accumulator `idx`'s fields from accumulator 0's.
+  std::size_t acc_at(int idx) const {
     assert(idx >= 0 && idx < accumulators_);
-    return s_.w + (kAccWords + kWordsPerAcc * static_cast<std::size_t>(idx)) * s_.stride;
+    return static_cast<std::size_t>(idx) * acc_stride_;
   }
 
   time_t_ depth_;  ///< pipeline depth p, as a time
-  int accumulators_;
-  std::vector<double> own_words_;         ///< a stand-alone pipeline's state
-  std::vector<std::int64_t> own_counts_;
-  LaneSlot s_;
+  time_t_* issue_free_ = nullptr;  ///< the issue port's next free cycle
+  std::int64_t* mac_ops_ = nullptr;
+  std::int64_t* mul_ops_ = nullptr;
+  std::int64_t* cmp_ops_ = nullptr;
+  double* acc_value_ = nullptr;  ///< accumulator 0's fields in this lane
+  double* acc_ready_ = nullptr;
+  double* acc_chain_ = nullptr;
+  std::size_t acc_stride_ = 0;  ///< words from one accumulator's field to the next's
+  int accumulators_ = 0;
 };
 
 }  // namespace lac::sim

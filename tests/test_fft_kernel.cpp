@@ -37,7 +37,8 @@ TEST(ButterflySchedule, HostMatchesDirectFourPointDft) {
 }
 
 TEST(ButterflySchedule, SimMatchesHostBitForBit) {
-  sim::MacPipeline mac(5, 1);
+  sim::MeshLanes lanes(1, 1);  // a one-PE mesh
+  sim::MacPipeline mac(5, lanes, 0);
   auto x = random_signal(4, 2);
   const cplx w1{0.8, -0.6};
   std::array<cplx, 3> w{w1, w1 * w1, w1 * w1 * w1};
@@ -52,7 +53,8 @@ TEST(ButterflySchedule, SimMatchesHostBitForBit) {
 }
 
 TEST(ButterflySchedule, IssuesExactly28FmaSlots) {
-  sim::MacPipeline mac(5, 1);
+  sim::MeshLanes lanes(1, 1);  // a one-PE mesh
+  sim::MacPipeline mac(5, lanes, 0);
   std::array<TimedCplx, 4> in;
   for (int i = 0; i < 4; ++i) in[static_cast<std::size_t>(i)] = timed({1.0, -1.0}, 0.0);
   butterfly_sim(mac, in, {cplx{0.6, 0.8}, cplx{1, 0}, cplx{0, 1}});

@@ -10,7 +10,8 @@ namespace {
 TEST(MacPipeline, SingleCycleAccumulationThroughput) {
   // Delayed normalization: chained MACs into one accumulator issue every
   // cycle regardless of pipeline depth (§3.2).
-  MacPipeline mac(8, 1);
+  MeshLanes lanes(1, 1);  // a one-PE mesh
+  MacPipeline mac(8, lanes, 0);
   mac.set_acc(0, at(0.0, 0.0));
   for (int i = 0; i < 16; ++i) mac.mac_into_acc(0, at(1.0, 0.0), at(2.0, 0.0));
   TimedVal acc = mac.read_acc(0);
@@ -21,7 +22,8 @@ TEST(MacPipeline, SingleCycleAccumulationThroughput) {
 }
 
 TEST(MacPipeline, DependentFmaWaitsFullLatency) {
-  MacPipeline mac(5, 1);
+  MeshLanes lanes(1, 1);  // a one-PE mesh
+  MacPipeline mac(5, lanes, 0);
   TimedVal r1 = mac.fma(at(2.0, 0.0), at(3.0, 0.0), at(1.0, 0.0));
   EXPECT_DOUBLE_EQ(r1.v, 7.0);
   EXPECT_DOUBLE_EQ(r1.ready, 5.0);
@@ -31,7 +33,8 @@ TEST(MacPipeline, DependentFmaWaitsFullLatency) {
 }
 
 TEST(MacPipeline, IndependentOpsPipelineBackToBack) {
-  MacPipeline mac(5, 1);
+  MeshLanes lanes(1, 1);  // a one-PE mesh
+  MacPipeline mac(5, lanes, 0);
   TimedVal a = mac.mul(at(1.0, 0.0), at(2.0, 0.0));
   TimedVal b = mac.mul(at(3.0, 0.0), at(4.0, 0.0));
   EXPECT_DOUBLE_EQ(a.ready, 5.0);
@@ -40,7 +43,8 @@ TEST(MacPipeline, IndependentOpsPipelineBackToBack) {
 }
 
 TEST(MacPipeline, AccumulatorPreloadGatesChain) {
-  MacPipeline mac(4, 2);
+  MeshLanes lanes(1, 2);  // a one-PE mesh
+  MacPipeline mac(4, lanes, 0);
   mac.set_acc(1, at(10.0, 20.0));  // e.g. C block arrives from DMA at t=20
   mac.mac_into_acc(1, at(1.0, 0.0), at(1.0, 0.0));
   TimedVal acc = mac.read_acc(1);
@@ -49,25 +53,29 @@ TEST(MacPipeline, AccumulatorPreloadGatesChain) {
 }
 
 TEST(MacPipeline, CompareWithAndWithoutExtension) {
-  MacPipeline mac(5, 1);
+  MeshLanes lanes(1, 1);  // a one-PE mesh
+  MacPipeline mac(5, lanes, 0);
   TimedVal fast = mac.compare_abs_max(at(-3.0, 0.0), at(2.0, 0.0), true);
   EXPECT_DOUBLE_EQ(fast.v, -3.0);  // larger magnitude wins, sign kept
   EXPECT_DOUBLE_EQ(fast.ready, 1.0);
-  MacPipeline mac2(5, 1);
+  MeshLanes lanes2(1, 1);  // a one-PE mesh
+  MacPipeline mac2(5, lanes2, 0);
   TimedVal slow = mac2.compare_abs_max(at(-3.0, 0.0), at(2.0, 0.0), false);
   EXPECT_DOUBLE_EQ(slow.v, -3.0);
   EXPECT_GT(slow.ready, 5.0);  // emulation drains the pipeline
 }
 
 TEST(MacPipeline, OccupyBlocksIssuePort) {
-  MacPipeline mac(5, 1);
+  MeshLanes lanes(1, 1);  // a one-PE mesh
+  MacPipeline mac(5, lanes, 0);
   mac.occupy(0.0, 27.0);  // software Goldschmidt divide
   TimedVal r = mac.mul(at(1.0, 0.0), at(1.0, 0.0));
   EXPECT_GE(r.ready - 5.0, 27.0);  // could not issue before cycle 27
 }
 
 TEST(MacPipeline, FusedArithmeticIsCorrect) {
-  MacPipeline mac(5, 1);
+  MeshLanes lanes(1, 1);  // a one-PE mesh
+  MacPipeline mac(5, lanes, 0);
   const double a = 1.0 + std::ldexp(1.0, -30);
   const double b = 1.0 - std::ldexp(1.0, -30);
   // a*b = 1 - 2^-60: a separate mul+add would round the product to 1.0

@@ -7,9 +7,9 @@
 // reference sweep built here from LocalStore::read, Core::broadcast_row and
 // MacPipeline::mac_into_acc, one op at a time. The whole core state must
 // match bit for bit after every sweep: every per-field lane array of the
-// mesh (port, issue-port and row-bus next_free/busy/ops, accumulator
-// value/ready/chain_free, op counts), the column buses, the store and
-// register-file counters and the finish time.
+// mesh (port and issue-port next_free, accumulator value/ready/chain_free,
+// op counts), the row and column buses, the store and register-file
+// counters and the finish time.
 #include <gtest/gtest.h>
 
 #include <algorithm>
