@@ -5,12 +5,9 @@
 //    utilization (Fermi C2050 and ClearSpeed CSX).
 //
 // 2. Fabric backend validation: run a kernel sweep through both fabric
-//    backends (cycle-exact sim, analytical model) with the BatchDispatcher
+//    backends (cycle-exact sim, analytical model) on the shared ThreadPool
 //    and emit machine-readable JSON -- one record per (kernel, n, backend)
-//    with cycles and utilization, plus per-thread-count wall times for the
-//    sweep -- to stdout and to BENCH_validation.json, so successive PRs
-//    have a perf trajectory to diff.
-#include <chrono>
+//    with cycles and utilization -- to stdout and to BENCH_validation.json.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -21,7 +18,7 @@
 #include "bench_support.hpp"
 #include "common/random.hpp"
 #include "common/table.hpp"
-#include "fabric/batch.hpp"
+#include "common/thread_pool.hpp"
 #include "fabric/model_executor.hpp"
 #include "fabric/sim_executor.hpp"
 #include "model/validation.hpp"
@@ -95,6 +92,17 @@ std::vector<fabric::KernelRequest> sweep_grid(const arch::CoreConfig& cfg) {
   return reqs;
 }
 
+/// The sweep on the shared pool; result i is written by index, so the
+/// records do not depend on the worker count.
+std::vector<fabric::KernelResult> run_sweep(const fabric::Executor& ex,
+                                            const arch::CoreConfig& cfg) {
+  const std::vector<fabric::KernelRequest> reqs = sweep_grid(cfg);
+  std::vector<fabric::KernelResult> results(reqs.size());
+  ThreadPool::shared().parallel_for(
+      reqs.size(), [&](std::size_t i) { results[i] = ex.execute(reqs[i]); });
+  return results;
+}
+
 std::string json_record(const fabric::KernelResult& res, index_t n) {
   std::ostringstream os;
   os << "{\"kernel\": \"" << res.tag.substr(0, res.tag.find('/')) << "\""
@@ -114,28 +122,8 @@ int main() {
   const fabric::SimExecutor sim;
   const fabric::ModelExecutor model;
 
-  // Per-thread-count wall time of the cycle-exact sweep (the
-  // BatchDispatcher speedup trajectory; on a single-core host the counts
-  // coincide). The results are thread-count-invariant, so the last run
-  // doubles as the sim record set -- no duplicate sweep.
-  std::vector<fabric::KernelResult> sim_results;
-  std::ostringstream wall;
-  bool first_t = true;
-  for (unsigned threads : {1u, 2u, 4u}) {
-    std::vector<fabric::KernelRequest> reqs = sweep_grid(cfg);
-    fabric::BatchDispatcher batch(sim, {threads});
-    const auto t0 = std::chrono::steady_clock::now();
-    sim_results = batch.run(reqs);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (!first_t) wall << ", ";
-    first_t = false;
-    wall << "\"" << threads << "\": " << ms;
-  }
-  std::vector<fabric::KernelRequest> model_reqs = sweep_grid(cfg);
-  std::vector<fabric::KernelResult> model_results =
-      fabric::BatchDispatcher(model).run(model_reqs);
+  std::vector<fabric::KernelResult> sim_results = run_sweep(sim, cfg);
+  std::vector<fabric::KernelResult> model_results = run_sweep(model, cfg);
 
   std::ostringstream json;
   json << "{\n  \"records\": [\n";
@@ -149,8 +137,8 @@ int main() {
       json << "    " << json_record(r, n);
     }
   }
-  json << "\n  ],\n  \"sweep_wall_ms\": {" << wall.str() << "}"
-       << ",\n  \"meta\": " << lac::bench::meta_json(4) << "\n}\n";
+  json << "\n  ],\n  \"meta\": "
+       << lac::bench::meta_json(ThreadPool::shared().size()) << "\n}\n";
 
   std::printf("\n%s", json.str().c_str());
   std::ofstream out("BENCH_validation.json");

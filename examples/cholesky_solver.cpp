@@ -31,8 +31,9 @@ int main() {
   blas::gemm(blas::Trans::No, blas::Trans::No, 1.0, a0.view(), x_true.view(), 0.0,
              rhs.view());
 
-  // Factor on the accelerator.
-  blas::DriverReport rep = blas::lap_cholesky(core, bw_words, block, a.view());
+  // Factor on the accelerator (the cycle-exact simulator backend).
+  const fabric::SimExecutor sim;
+  blas::DriverReport rep = blas::lap_cholesky(sim, core, bw_words, block, a.view());
   std::printf("Cholesky by blocks on the LAC: n=%lld, block=%lld\n",
               static_cast<long long>(n), static_cast<long long>(block));
   std::printf("  kernel calls: %d (chol + trsm + syrk per diagonal step)\n",
@@ -53,7 +54,6 @@ int main() {
   // Graph mode: the same blocked factorization as a kernel DAG scheduled
   // with panel-level parallelism across 4 virtual LAC cores.
   MatrixD ag = to_matrix<double>(ConstViewD(a0.view()));
-  const fabric::SimExecutor sim;
   blas::DriverReport grep =
       blas::lap_cholesky_graph(sim, core, bw_words, block, ag.view(), 4);
   std::printf("\nGraph mode (tiled POTRF/TRSM/SYRK/GEMM DAG, %d kernels):\n",

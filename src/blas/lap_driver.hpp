@@ -6,8 +6,7 @@
 //
 // Every driver takes the fabric::Executor to run on: the cycle-exact
 // SimExecutor or the instant ModelExecutor produce the same numerics, so
-// the backend is a deployment choice, not an algorithm change. The legacy
-// entry points without an executor run on a SimExecutor.
+// the backend is a deployment choice, not an algorithm change.
 #include <vector>
 
 #include "arch/configs.hpp"
@@ -91,19 +90,5 @@ DriverReport lap_trmm(const fabric::Executor& ex, const arch::CoreConfig& cfg,
 DriverReport lap_symm(const fabric::Executor& ex, const arch::CoreConfig& cfg,
                       double bw_words_per_cycle, index_t block, ConstViewD a_lower,
                       ConstViewD b, ViewD c);
-
-/// ---- legacy entry points (cycle-exact simulator backend) ----------------
-DriverReport lap_gemm(const arch::CoreConfig& cfg, double bw_words_per_cycle,
-                      index_t mc, index_t kc, ConstViewD a, ConstViewD b, ViewD c);
-DriverReport lap_cholesky(const arch::CoreConfig& cfg, double bw_words_per_cycle,
-                          index_t block, ViewD a);
-DriverReport lap_lu(const arch::CoreConfig& cfg, double bw_words_per_cycle,
-                    ViewD a, std::vector<index_t>& pivots);
-DriverReport lap_qr(const arch::CoreConfig& cfg, double bw_words_per_cycle,
-                    ViewD a, std::vector<double>& taus);
-DriverReport lap_trmm(const arch::CoreConfig& cfg, double bw_words_per_cycle,
-                      index_t block, ConstViewD l, ViewD b);
-DriverReport lap_symm(const arch::CoreConfig& cfg, double bw_words_per_cycle,
-                      index_t block, ConstViewD a_lower, ConstViewD b, ViewD c);
 
 }  // namespace lac::blas

@@ -1,14 +1,13 @@
 #pragma once
 // Persistent work-queue thread pool for the serving layer.
 //
-// lac::parallel_for spawns and joins a fresh set of threads on every call,
-// which is fine for one-shot design-space sweeps but taxes every call on a
-// sustained serving path. The ThreadPool keeps a fixed set of workers alive
-// across calls (started lazily on first use, so merely constructing one --
-// or linking the shared instance -- costs nothing). `submit` returns a
-// std::future for any callable; `parallel_for` mirrors lac::parallel_for's
-// contract (index-addressed work, worker-count clamping, first exception
-// rethrown on the caller) on top of the persistent workers.
+// The one way concurrent work is dispatched in this tree. The ThreadPool
+// keeps a fixed set of workers alive across calls (started lazily on first
+// use, so merely constructing one -- or linking the shared instance --
+// costs nothing). `submit` returns a std::future for any callable;
+// `parallel_for` runs index-addressed work (worker-count clamping, first
+// exception rethrown on the caller) on the same persistent workers, so a
+// sweep or batch pays no per-call thread spawn.
 //
 // Queueing is sharded: each worker owns a deque (its shard), and jobs are
 // placed by two-choice cost balancing -- every job carries a cost hint
@@ -59,8 +58,8 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Process-wide pool shared by the serving layer and the batch
-  /// dispatcher. Lazily constructed on first use.
+  /// Process-wide pool shared by the serving layer and parallel sweeps.
+  /// Lazily constructed on first use.
   static ThreadPool& shared();
 
   /// Worker count the pool was sized to.

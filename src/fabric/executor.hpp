@@ -19,7 +19,7 @@ class Executor {
   virtual const char* name() const = 0;
 
   /// Execute one request. Must be thread-safe for concurrent calls with
-  /// independent requests (the BatchDispatcher relies on this). Failures
+  /// independent requests (pool dispatch relies on this). Failures
   /// are reported in-band: ok = false and `error` set, never an exception.
   virtual KernelResult execute(const KernelRequest& req) const = 0;
 };

@@ -7,8 +7,8 @@
 // generate_trace() emits such a workload deterministically (fixed seed);
 // replay() plays it against a GraphScheduler with paced arrivals and
 // reports per-tenant sojourn latency (completion minus arrival), overall
-// throughput, weighted-fairness, and the graph speedup roll-up -- the
-// numbers bench_scheduler records per backend.
+// throughput, weighted-fairness, and the graph speedup roll-up
+// (exercised by tests/test_sched.cpp).
 #include <cstdint>
 #include <vector>
 

@@ -3,7 +3,7 @@
 // within pinned per-kernel tolerances -- the energy analogue of the cycle
 // calibration in test_fabric.cpp -- and the derived efficiency metrics must
 // land inside the paper's 45nm bands. Also covers technology scaling, the
-// clock override, failure accounting, and the driver/batch roll-ups.
+// clock override, failure accounting, and the driver roll-up.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,7 +12,6 @@
 #include "arch/presets.hpp"
 #include "blas/lap_driver.hpp"
 #include "common/random.hpp"
-#include "fabric/batch.hpp"
 #include "fabric/model_executor.hpp"
 #include "fabric/sim_executor.hpp"
 #include "power/energy_model.hpp"
@@ -218,26 +217,6 @@ TEST(EnergyAccounting, ClockOverrideRescalesTimeAndPower) {
   EXPECT_GT(r2.avg_power_w.value(), 1.8 * r1.avg_power_w.value());
   // Energy efficiency degrades past the ~1 GHz sweet spot (Fig 3.6).
   EXPECT_LT(r2.metrics.gflops_per_w(), r1.metrics.gflops_per_w());
-}
-
-TEST(EnergyAccounting, BatchSummaryAggregatesEnergy) {
-  arch::CoreConfig cfg = arch::lac_4x4_dp();
-  MatrixD a = random_matrix(16, 16, 60);
-  MatrixD b = random_matrix(16, 16, 61);
-  MatrixD c = random_matrix(16, 16, 62);
-  MatrixD bad = random_matrix(16, 16, 63);
-  for (index_t i = 0; i < 16; ++i) bad(i, i) = -1.0;
-  std::vector<KernelRequest> reqs;
-  reqs.push_back(make_gemm(cfg, 2.0, a.view(), b.view(), c.view()));
-  reqs.push_back(make_cholesky(cfg, 2.0, bad.view()));  // fails
-  reqs.push_back(make_syrk(cfg, 2.0, a.view(), c.view()));
-  std::vector<KernelResult> results = BatchDispatcher(kModel, {1}).run(reqs);
-  BatchSummary s = BatchDispatcher::summarize(results);
-  EXPECT_EQ(s.failures, 1);
-  EXPECT_DOUBLE_EQ(s.total_energy_nj.value(), results[0].energy_nj.value() + results[2].energy_nj.value());
-  EXPECT_DOUBLE_EQ(s.mean_power_w.value(),
-                   (results[0].avg_power_w.value() + results[2].avg_power_w.value()) / 2.0);
-  EXPECT_GT(s.total_energy_nj.value(), 0.0);
 }
 
 TEST(EnergyAccounting, DriverReportAccumulatesEnergy) {

@@ -1,7 +1,8 @@
 // The unified fabric execution layer: backend parity (every kernel kind
 // through the cycle-exact SimExecutor and the analytical ModelExecutor,
 // numerics checked against the host reference and cycle counts
-// cross-checked between the backends) plus BatchDispatcher determinism.
+// cross-checked between the backends) plus pool-dispatch determinism and
+// the zero accounting of a failed request.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +15,7 @@
 #include "blas/ref_lapack.hpp"
 #include "common/numeric.hpp"
 #include "common/random.hpp"
-#include "fabric/batch.hpp"
+#include "common/thread_pool.hpp"
 #include "fabric/model_executor.hpp"
 #include "fabric/sim_executor.hpp"
 #include "fft/reference_fft.hpp"
@@ -304,15 +305,23 @@ std::vector<KernelRequest> sweep_requests() {
   return reqs;
 }
 
-TEST(BatchDispatcher, DeterministicAcrossThreadCounts) {
+TEST(ParallelDispatch, DeterministicAcrossWorkerCounts) {
+  // Result i is written by index, so the batch is the same for any worker
+  // cap of the shared pool.
+  auto run = [](const Executor& ex, const std::vector<KernelRequest>& reqs,
+                unsigned max_workers) {
+    std::vector<KernelResult> out(reqs.size());
+    ThreadPool::shared().parallel_for(
+        reqs.size(), [&](std::size_t i) { out[i] = ex.execute(reqs[i]); },
+        max_workers);
+    return out;
+  };
   for (const Executor* ex : {static_cast<const Executor*>(&kSim),
                              static_cast<const Executor*>(&kModel)}) {
     std::vector<KernelRequest> reqs = sweep_requests();
-    BatchDispatcher serial(*ex, {1});
-    std::vector<KernelResult> base = serial.run(reqs);
-    for (unsigned threads : {2u, 4u, 7u}) {
-      BatchDispatcher par(*ex, {threads});
-      std::vector<KernelResult> got = par.run(reqs);
+    std::vector<KernelResult> base = run(*ex, reqs, 1);
+    for (unsigned workers : {2u, 4u}) {
+      std::vector<KernelResult> got = run(*ex, reqs, workers);
       ASSERT_EQ(got.size(), base.size());
       for (std::size_t i = 0; i < base.size(); ++i) {
         EXPECT_TRUE(got[i].ok);
@@ -325,57 +334,48 @@ TEST(BatchDispatcher, DeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(BatchDispatcher, SummaryAggregates) {
-  std::vector<KernelRequest> reqs = sweep_requests();
-  BatchDispatcher batch(kModel, {4});
-  std::vector<KernelResult> results = batch.run(reqs);
-  BatchSummary s = BatchDispatcher::summarize(results);
-  EXPECT_EQ(s.backend, "model");
-  EXPECT_EQ(s.requests, static_cast<int>(reqs.size()));
-  EXPECT_EQ(s.failures, 0);
-  double total = 0.0, mx = 0.0;
-  for (const auto& r : results) {
-    total += r.cycles.value();
-    mx = std::max(mx, r.cycles.value());
-  }
-  EXPECT_DOUBLE_EQ(s.total_cycles.value(), total);
-  EXPECT_DOUBLE_EQ(s.max_cycles.value(), mx);
-  EXPECT_GT(s.mean_utilization, 0.0);
-  EXPECT_LE(s.mean_utilization, 1.0);
-}
-
-TEST(BatchDispatcher, FailedRequestsContributeNothingToSummary) {
+TEST(FailedRequest, ChargesNothingOnEitherBackend) {
+  // A failed request carries the canonical make_failed accounting: every
+  // cost field at zero on both backends (the simulator's partially
+  // absorbed activity is voided), and its neighbours are unaffected.
   arch::CoreConfig cfg = arch::lac_4x4_dp();
   MatrixD bad = random_matrix(16, 16, 50);  // not positive definite
   for (index_t i = 0; i < 16; ++i) bad(i, i) = -1.0;
+  MatrixD a = random_matrix(16, 16, 51);
+  MatrixD b = random_matrix(16, 16, 52);
+  MatrixD c = random_matrix(16, 16, 53);
   for (const Executor* ex : {static_cast<const Executor*>(&kSim),
                              static_cast<const Executor*>(&kModel)}) {
-    std::vector<KernelRequest> reqs;
-    MatrixD a = random_matrix(16, 16, 51);
-    MatrixD b = random_matrix(16, 16, 52);
-    MatrixD c = random_matrix(16, 16, 53);
-    reqs.push_back(make_gemm(cfg, 2.0, a.view(), b.view(), c.view()));
-    reqs.push_back(make_cholesky(cfg, 2.0, bad.view()));
-    reqs.push_back(make_syrk(cfg, 2.0, a.view(), c.view()));
-    std::vector<KernelResult> results = BatchDispatcher(*ex, {1}).run(reqs);
-    ASSERT_EQ(results.size(), 3u);
-    EXPECT_TRUE(results[0].ok);
-    EXPECT_FALSE(results[1].ok) << results[1].backend;
-    EXPECT_TRUE(results[2].ok);
-    // A failed request reports zero cycles/stats/utilization on both
-    // backends -- the simulator's partially-absorbed activity is voided.
-    EXPECT_EQ(results[1].cycles.value(), 0.0) << results[1].backend;
-    EXPECT_EQ(results[1].utilization, 0.0) << results[1].backend;
-    EXPECT_EQ(results[1].stats.mac_ops, 0) << results[1].backend;
-    BatchSummary s = BatchDispatcher::summarize(results);
-    EXPECT_EQ(s.failures, 1);
-    EXPECT_DOUBLE_EQ(s.total_cycles.value(), results[0].cycles.value() + results[2].cycles.value());
-    EXPECT_DOUBLE_EQ(s.max_cycles.value(),
-                     std::max(results[0].cycles.value(), results[2].cycles.value()));
-    EXPECT_DOUBLE_EQ(
-        s.mean_utilization,
-        (results[0].utilization + results[2].utilization) / 2.0);
-    EXPECT_EQ(s.stats.mac_ops, results[0].stats.mac_ops + results[2].stats.mac_ops);
+    KernelRequest failing = make_cholesky(cfg, 2.0, bad.view());
+    failing.tag = "chol/bad";
+    const KernelResult r = ex->execute(failing);
+    EXPECT_FALSE(r.ok) << ex->name();
+    EXPECT_FALSE(r.error.empty()) << ex->name();
+    EXPECT_EQ(r.backend, ex->name());
+    EXPECT_EQ(r.tag, "chol/bad");
+    EXPECT_EQ(r.cycles.value(), 0.0) << ex->name();
+    EXPECT_EQ(r.utilization, 0.0) << ex->name();
+    EXPECT_EQ(r.energy_nj.value(), 0.0) << ex->name();
+    EXPECT_EQ(r.avg_power_w.value(), 0.0) << ex->name();
+    EXPECT_EQ(r.area_mm2.value(), 0.0) << ex->name();
+    EXPECT_EQ(r.metrics.flops_per_s.value(), 0.0) << ex->name();
+    EXPECT_EQ(r.metrics.watts.value(), 0.0) << ex->name();
+    for (std::int64_t sim::Stats::*field :
+         {&sim::Stats::mac_ops, &sim::Stats::mul_ops, &sim::Stats::cmp_ops,
+          &sim::Stats::mem_a_reads, &sim::Stats::mem_a_writes,
+          &sim::Stats::mem_b_reads, &sim::Stats::mem_b_writes,
+          &sim::Stats::rf_reads, &sim::Stats::rf_writes,
+          &sim::Stats::row_bus_xfers, &sim::Stats::col_bus_xfers,
+          &sim::Stats::sfu_ops, &sim::Stats::dma_words})
+      EXPECT_EQ(r.stats.*field, 0) << ex->name();
+
+    const KernelResult gemm = ex->execute(make_gemm(cfg, 2.0, a.view(), b.view(), c.view()));
+    const KernelResult syrk = ex->execute(make_syrk(cfg, 2.0, a.view(), c.view()));
+    for (const KernelResult* ok : {&gemm, &syrk}) {
+      EXPECT_TRUE(ok->ok) << ex->name();
+      EXPECT_GT(ok->cycles.value(), 0.0) << ex->name();
+      EXPECT_GT(ok->energy_nj.value(), 0.0) << ex->name();
+    }
   }
 }
 

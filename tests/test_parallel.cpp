@@ -1,73 +1,20 @@
-// lac::parallel_for: coverage, worker clamping, explicit thread targets and
-// exception propagation out of worker threads. Also the ThreadPool quiesce
-// API (drain/shutdown) the scheduler layer relies on.
+// ThreadPool lifecycle and placement: the quiesce API (drain/shutdown) the
+// scheduler layer relies on, size-aware dispatch and work stealing.
+// ThreadPool::parallel_for is covered in test_serving.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <future>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "common/parallel.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "test_support.hpp"
 
 namespace lac {
 namespace {
-
-TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
-  for (unsigned threads : {0u, 1u, 2u, 4u, 16u}) {
-    const std::size_t n = 103;
-    std::vector<std::atomic<int>> hits(n);
-    for (auto& h : hits) h.store(0);
-    parallel_for(n, [&](std::size_t i) { hits[i].fetch_add(1); }, threads);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-  }
-}
-
-TEST(ParallelFor, HandlesEmptyAndTinyRanges) {
-  std::atomic<int> count{0};
-  parallel_for(0, [&](std::size_t) { count.fetch_add(1); }, 8);
-  EXPECT_EQ(count.load(), 0);
-  parallel_for(1, [&](std::size_t) { count.fetch_add(1); }, 8);
-  EXPECT_EQ(count.load(), 1);
-  // More workers than items: the pool is clamped to n, so this completes
-  // without idle-thread churn and still covers both indices.
-  count.store(0);
-  parallel_for(2, [&](std::size_t) { count.fetch_add(1); }, 64);
-  EXPECT_EQ(count.load(), 2);
-}
-
-TEST(ParallelFor, PropagatesWorkerExceptions) {
-  for (unsigned threads : {1u, 4u}) {
-    std::atomic<int> ran{0};
-    EXPECT_THROW(
-        parallel_for(
-            64,
-            [&](std::size_t i) {
-              ran.fetch_add(1);
-              if (i == 7) throw std::runtime_error("boom");
-            },
-            threads),
-        std::runtime_error)
-        << "threads=" << threads;
-    EXPECT_GE(ran.load(), 1);
-  }
-}
-
-TEST(ParallelFor, ExceptionMessageSurvives) {
-  try {
-    parallel_for(
-        16, [](std::size_t i) { if (i == 3) throw std::runtime_error("index 3 failed"); },
-        4);
-    FAIL() << "expected exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "index 3 failed");
-  }
-}
 
 TEST(ThreadPoolQuiesce, ShutdownCompletesAllQueuedWorkThenResubmitWorks) {
   ThreadPool pool(2);

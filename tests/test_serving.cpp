@@ -15,7 +15,6 @@
 #include "arch/presets.hpp"
 #include "common/random.hpp"
 #include "common/thread_pool.hpp"
-#include "fabric/batch.hpp"
 #include "fabric/model_executor.hpp"
 #include "fabric/serving.hpp"
 #include "fabric/sim_executor.hpp"
@@ -27,6 +26,17 @@ namespace {
 
 const SimExecutor kSim;
 const ModelExecutor kModel;
+
+/// Execute every request on the shared pool, result i written by index.
+std::vector<KernelResult> execute_all(const Executor& ex,
+                                      const std::vector<KernelRequest>& reqs,
+                                      unsigned max_workers) {
+  std::vector<KernelResult> out(reqs.size());
+  ThreadPool::shared().parallel_for(
+      reqs.size(), [&](std::size_t i) { out[i] = ex.execute(reqs[i]); },
+      max_workers);
+  return out;
+}
 
 /// Mixed-kernel workload with deliberately repeated shapes (every repeat
 /// shares the same operand payloads -- the zero-copy serving pattern).
@@ -74,24 +84,40 @@ TEST(ThreadPool, SubmitPropagatesExceptions) {
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
+  // Empty and single-item ranges, and worker caps above both n and the
+  // pool size (4), are clamped rather than oversubscribed.
   ThreadPool pool(4);
-  for (unsigned cap : {0u, 1u, 2u, 7u}) {
-    std::vector<std::atomic<int>> hits(1000);
-    pool.parallel_for(
-        hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); }, cap);
-    for (std::size_t i = 0; i < hits.size(); ++i)
-      ASSERT_EQ(hits[i].load(), 1) << "index " << i << " cap " << cap;
+  for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                        std::size_t{1000}}) {
+    for (unsigned cap : {0u, 1u, 2u, 7u, 64u}) {
+      std::vector<std::atomic<int>> hits(n);
+      pool.parallel_for(n, [&](std::size_t i) { hits[i].fetch_add(1); }, cap);
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(hits[i].load(), 1) << "index " << i << " n " << n << " cap " << cap;
+    }
   }
 }
 
 TEST(ThreadPool, ParallelForPropagatesFirstException) {
   ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.parallel_for(100,
-                        [](std::size_t i) {
-                          if (i == 41) throw std::invalid_argument("bad index");
-                        }),
-      std::invalid_argument);
+  for (unsigned cap : {0u, 1u, 4u}) {
+    try {
+      pool.parallel_for(
+          100,
+          [](std::size_t i) {
+            if (i == 41) throw std::invalid_argument("bad index 41");
+          },
+          cap);
+      ADD_FAILURE() << "expected an exception, cap " << cap;
+    } catch (const std::invalid_argument& e) {
+      // Helpers the queue reaches late still hold the shared state that
+      // owns the exception. Let them finish first: the exception's
+      // reference count lives in the uninstrumented C++ runtime, so TSan
+      // cannot see that it orders their release after this read.
+      pool.drain();
+      EXPECT_STREQ(e.what(), "bad index 41") << "cap " << cap;
+    }
+  }
   // Reusable afterwards.
   std::atomic<int> n{0};
   pool.parallel_for(50, [&](std::size_t) { n.fetch_add(1); });
@@ -149,7 +175,7 @@ TEST(AsyncExecutor, StressMixedKernelsBothBackends) {
   for (const Executor* ex : {static_cast<const Executor*>(&kSim),
                              static_cast<const Executor*>(&kModel)}) {
     // Serial reference results.
-    std::vector<KernelResult> expect = BatchDispatcher(*ex, {1}).run(reqs);
+    std::vector<KernelResult> expect = execute_all(*ex, reqs, 1);
     AsyncExecutor async(*ex);
     std::vector<std::future<KernelResult>> futs = async.submit_all(reqs);
     ASSERT_EQ(futs.size(), reqs.size());
@@ -246,8 +272,8 @@ TEST(CostCache, RepeatedShapesHitAndMatchUncached) {
   std::vector<KernelRequest> reqs = serving_workload(test::scaled(10, 3));
   const std::size_t unique_shapes = serving_workload(1).size();
 
-  std::vector<KernelResult> got = BatchDispatcher(cached, {4}).run(reqs);
-  std::vector<KernelResult> expect = BatchDispatcher(kModel, {1}).run(reqs);
+  std::vector<KernelResult> got = execute_all(cached, reqs, 4);
+  std::vector<KernelResult> expect = execute_all(kModel, reqs, 1);
   for (std::size_t i = 0; i < got.size(); ++i) {
     ASSERT_TRUE(got[i].ok);
     EXPECT_EQ(got[i].cycles.value(), expect[i].cycles.value()) << "request " << i;
@@ -286,7 +312,7 @@ TEST(CostCache, RegistryCountersAgreeWithInstanceCounts) {
   CostCache cache;
   ModelExecutor cached(&cache);
   std::vector<KernelRequest> reqs = serving_workload(test::scaled(6, 2));
-  for (KernelResult& r : BatchDispatcher(cached, {4}).run(reqs))
+  for (KernelResult& r : execute_all(cached, reqs, 4))
     ASSERT_TRUE(r.ok);
 
   const std::uint64_t hits_delta =
