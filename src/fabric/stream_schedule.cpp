@@ -432,6 +432,12 @@ index_t sweep(sim::Core& core, const Sweep& w) {
   }
 }
 
+/// How many of first, first + nr, first + 2nr, ... lie below n: the
+/// operand columns a PE column holds, or the panel rows a PE row holds.
+index_t strided_count(index_t n, int nr, int first) {
+  return n / nr + (first < n % nr ? 1 : 0);
+}
+
 }  // namespace
 
 StreamSchedule::~StreamSchedule() {
@@ -453,15 +459,24 @@ sim::time_t_ StreamSchedule::dma_after(double words, sim::time_t_ earliest) {
   return cursor_;
 }
 
+// The staging helpers fill PE by PE: PE(r, o)'s words of a 2D round-robin
+// operand (rows r, r + nr, ... of columns o, o + nr, ...) are one run from
+// the base in (p, i) order, so each PE takes one mark and no address
+// arithmetic.
+
 void StreamSchedule::poke_resident(ConstViewD a, index_t base) {
   const int nr = core_.nr();
   const index_t rows = a.rows();
   const index_t cols = a.cols();
   assert(rows % nr == 0);
-  for (index_t p = 0; p < cols; ++p)
-    for (index_t i = 0; i < rows; ++i)
-      core_.pe(static_cast<int>(i % nr), static_cast<int>(p % nr))
-          .mem_a.poke(base + mem_a_addr(i, p, rows, nr), a(i, p));
+  for (int o = 0; o < nr && o < cols; ++o) {
+    const index_t words = rows / nr * strided_count(cols, nr, o);
+    for (int r = 0; r < nr; ++r) {
+      double* w = core_.pe(r, o).mem_a.fill(base, base + words);
+      for (index_t p = o; p < cols; p += nr)
+        for (index_t i = r; i < rows; i += nr) *w++ = a(i, p);
+    }
+  }
 }
 
 sim::time_t_ StreamSchedule::stage_resident(ConstViewD a, index_t base) {
@@ -473,10 +488,16 @@ sim::time_t_ StreamSchedule::stage_resident_lower(ConstViewD l) {
   const int nr = core_.nr();
   const index_t n = l.rows();
   assert(l.cols() == n && n % nr == 0);
-  for (index_t p = 0; p < n; ++p)
-    for (index_t i = p; i < n; ++i)
-      core_.pe(static_cast<int>(i % nr), static_cast<int>(p % nr))
-          .mem_a.poke(mem_a_addr(i, p, n, nr), l(i, p));
+  // The words of i < p stay as they are (zero on a fresh core).
+  for (int o = 0; o < nr && o < n; ++o) {
+    const index_t words = n / nr * strided_count(n, nr, o);
+    for (int r = 0; r < nr; ++r) {
+      double* w = core_.pe(r, o).mem_a.fill(0, words);
+      for (index_t p = o; p < n; p += nr)
+        for (index_t i = r; i < n; i += nr, ++w)
+          if (i >= p) *w = l(i, p);
+    }
+  }
   return dma(static_cast<double>(n) * (n + 1) / 2);
 }
 
@@ -485,10 +506,11 @@ sim::time_t_ StreamSchedule::stage_panel(ConstViewD a) {
   const index_t k = a.rows();
   const index_t cols = a.cols();
   assert(cols <= nr);
-  for (index_t i = 0; i < k; ++i)
-    for (index_t j = 0; j < cols; ++j)
-      core_.pe(static_cast<int>(i % nr), static_cast<int>(j))
-          .mem_a.poke(i / nr, a(i, j));
+  for (index_t j = 0; j < cols; ++j)
+    for (int r = 0; r < nr; ++r) {
+      double* w = core_.pe(r, static_cast<int>(j)).mem_a.fill(0, strided_count(k, nr, r));
+      for (index_t i = r; i < k; i += nr) *w++ = a(i, j);
+    }
   return dma(static_cast<double>(k) * cols);
 }
 

@@ -101,11 +101,13 @@ class StreamSchedule {
   /// C-block streams).
   template <typename ValueFn>
   void stage_panel_b(index_t slot_base, index_t kc, const ValueFn& value) {
+    // PE by PE, one mark each: re-reading a value per row is cheaper than
+    // copying the first row's words (a memmove call per PE at kc = nr).
     const int nr = core_.nr();
-    for (index_t p = 0; p < kc; ++p)
+    for (int r = 0; r < nr; ++r)
       for (int c = 0; c < nr; ++c) {
-        const double v = value(p, c);
-        for (int r = 0; r < nr; ++r) core_.pe(r, c).mem_b.poke(slot_base + p, v);
+        double* w = core_.pe(r, c).mem_b.fill(slot_base, slot_base + kc);
+        for (index_t p = 0; p < kc; ++p) w[p] = value(p, c);
       }
   }
 

@@ -6,8 +6,6 @@
 
 namespace lac::kernels {
 
-using fabric::mem_a_addr;
-
 ChipGemmResult chip_gemm(const arch::ChipConfig& cfg, index_t mc, index_t kc,
                          ConstViewD a, ConstViewD b, ConstViewD c_in) {
   const int nr = cfg.core.nr;
@@ -40,11 +38,9 @@ ChipGemmResult chip_gemm(const arch::ChipConfig& cfg, index_t mc, index_t kc,
         sim::Core& core = chip.core(core_id);
         const index_t row0 = core_id * rows_per_core + tile * mc;
 
+        fabric::StreamSchedule sched(core);
         // Resident A tile for this core (through the shared interface).
-        for (index_t p = 0; p < kc; ++p)
-          for (index_t i = 0; i < mc; ++i)
-            core.pe(static_cast<int>(i % nr), static_cast<int>(p % nr))
-                .mem_a.poke(mem_a_addr(i, p, mc, nr), a(row0 + i, pp + p));
+        sched.poke_resident(a.block(row0, pp, mc, kc));
         cursor[static_cast<std::size_t>(core_id)] = chip.shared_dma(
             core_id, static_cast<double>(mc) * kc,
             std::max(cursor[static_cast<std::size_t>(core_id)], panels_on_chip));
@@ -54,7 +50,6 @@ ChipGemmResult chip_gemm(const arch::ChipConfig& cfg, index_t mc, index_t kc,
         // slice (replicated per PE column), stream the C block through the
         // accumulators, run kc rank-1 updates, stream the result out.
         sim::time_t_ dma_cursor = a_ready;
-        fabric::StreamSchedule sched(core);
         for (index_t jb = 0; jb < n / nr; ++jb) {
           sched.stage_panel_b(0, kc, [&](index_t p, int cc) { return b(pp + p, jb * nr + cc); });
           dma_cursor = chip.shared_dma(core_id, static_cast<double>(kc) * nr, dma_cursor);

@@ -20,12 +20,8 @@ KernelResult gemm_rank1_inner(const arch::CoreConfig& cfg, ConstViewD a, ConstVi
   sim::Core& core = arena.get();
   StreamSchedule sched(core);
   // Stage operands: A round-robin by column, B replicated per PE column.
-  for (int r = 0; r < nr; ++r)
-    for (int c = 0; c < nr; ++c) {
-      sim::Pe& pe = core.pe(r, c);
-      for (index_t p = c; p < kc; p += nr) pe.mem_a.poke(p / nr, a(r, p));
-      for (index_t p = 0; p < kc; ++p) pe.mem_b.poke(p, b(p, c));
-    }
+  sched.poke_resident(a);
+  sched.stage_panel_b(0, kc, [&](index_t p, int c) { return b(p, c); });
   sched.load_accumulators(0, 0.0, [&](int r, int c) { return c_in(r, c); });
 
   // kc rank-1 updates: the owner column broadcasts a column of A on the

@@ -1,5 +1,6 @@
 #include "kernels/trsm_kernel.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <vector>
 
@@ -146,6 +147,8 @@ KernelResult trsm_core(const arch::CoreConfig& cfg, double bw_words_per_cycle,
   TrsmState st;
   st.x.resize(static_cast<std::size_t>(nr * nr));
   const std::vector<index_t> order{0};
+  // X panels MEM-B holds at once: one nr-word slot per chained segment.
+  const index_t segments = std::max<index_t>(1, core.pe(0, 0).mem_b.size() / nr);
 
   for (index_t i = 0; i < kb; ++i) {
     // (1) GEMM update: B_i -= sum_{l<i} L(i,l) * X_l. Row panel i of B is
@@ -155,15 +158,20 @@ KernelResult trsm_core(const arch::CoreConfig& cfg, double bw_words_per_cycle,
       sched.load_accumulators(parity, c_in_done, [&](int r, int c) {
         return res.out(i * nr + r, jb * nr + c);
       });
-      for (index_t lb = 0; lb < i; ++lb) {
-        // X_lb panel must be on chip: stream it into MEM-B (charged once
-        // per (i, jb, lb) use; the blocked algorithm re-reads streamed X).
-        sched.stage_panel_b(0, nr, [&](index_t pp, int c) {
-          return res.out(lb * nr + pp, jb * nr + c);
-        });
-        sched.dma(static_cast<double>(nr) * nr);
-        sched.rank1_update(parity, 0, n, i * nr, lb * nr, (lb + 1) * nr, 0,
-                           c_in_done, /*negate=*/true);
+      for (index_t lb0 = 0; lb0 < i; lb0 += segments) {
+        // X_lb panels must be on chip: stream each into its MEM-B slot
+        // (charged once per (i, jb, lb) use; the blocked algorithm
+        // re-reads streamed X). The chunk's updates share the gate and
+        // the accumulators, so they run as one sweep over its columns.
+        const index_t lb1 = std::min(i, lb0 + segments);
+        for (index_t lb = lb0; lb < lb1; ++lb) {
+          sched.stage_panel_b((lb - lb0) * nr, nr, [&](index_t pp, int c) {
+            return res.out(lb * nr + pp, jb * nr + c);
+          });
+          sched.dma(static_cast<double>(nr) * nr);
+        }
+        sched.rank1_update(parity, 0, n, i * nr, lb0 * nr, lb1 * nr, 0, c_in_done,
+                           /*negate=*/true);
       }
       // (2) Triangular solve of the updated diagonal row panel.
       const sim::time_t_ upd_ready =

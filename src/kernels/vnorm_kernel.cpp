@@ -23,8 +23,10 @@ VnormResult vnorm(const arch::CoreConfig& cfg, const std::vector<double>& x,
   sim::Core& core = arena.get();
   // Owner column PE r holds elements {i : i % nr == r}.
   // Stage into MEM-A fragments.
-  for (index_t i = 0; i < k; ++i)
-    core.pe(static_cast<int>(i % nr), owner_col).mem_a.poke(i / nr, x[static_cast<std::size_t>(i)]);
+  for (int r = 0; r < nr; ++r) {
+    double* frag = core.pe(r, owner_col).mem_a.fill(0, k / nr);
+    for (index_t i = r; i < k; i += nr) *frag++ = x[static_cast<std::size_t>(i)];
+  }
   core.dma(static_cast<double>(k), 0.0);
 
   // ---- optional guard pass: t = max |x_i|, then scale by 1/t. -----------

@@ -9,11 +9,15 @@
 // litter of per-step std::vectors, and eight workers hammering the global
 // allocator serialize on it. The arena keeps both thread-local:
 //
-//  - SimArena::local() pools Core instances per CoreConfig. Core::reset()
-//    restores the exact fresh-constructed state (zeroed stores, free
-//    resources), so a pooled core is byte-identical to a new one -- the
-//    serving determinism contract (results independent of pool width and
-//    of which worker ran the request) is preserved by construction.
+//  - SimArena::local() pools Core instances per CoreConfig, for single
+//    cores (ArenaCore) and a Chip's cores alike. Core::reset() restores
+//    the exact fresh-constructed state (zeroed stores, free resources), so
+//    a pooled core is byte-identical to a new one -- the serving
+//    determinism contract (results independent of pool width and of which
+//    worker ran the request) is preserved by construction. Each local
+//    store keeps a high-water mark of the words written since its last
+//    reset, so a reset zeroes only those: it costs in proportion to what
+//    the last request wrote, not the 288 KB of a 4x4 core's stores.
 //  - Scratch<T> checks reusable vectors out of a thread-local freelist,
 //    replacing the per-iteration event-buffer allocations in the kernel
 //    hot loops.

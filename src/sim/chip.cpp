@@ -1,6 +1,9 @@
 #include "sim/chip.hpp"
 
 #include <algorithm>
+#include <utility>
+
+#include "sim/arena.hpp"
 
 namespace lac::sim {
 
@@ -10,10 +13,14 @@ Chip::Chip(const arch::ChipConfig& cfg) : cfg_(cfg) {
   // bandwidth.
   const double per_core_bw =
       cfg.onchip_bw_words_per_cycle / std::max(1, cfg.cores);
-  for (int s = 0; s < cfg.cores; ++s)
-    // lint-allow: hot-alloc (chip construction: one allocation per core
-    // per Chip, never per step)
-    cores_.push_back(std::make_unique<Core>(cfg.core, per_core_bw));
+  SimArena& arena = SimArena::local();
+  // Four accumulator sets per PE, as a Core constructed with defaults.
+  for (int s = 0; s < cfg.cores; ++s) cores_.push_back(arena.acquire(cfg.core, per_core_bw, 4));
+}
+
+Chip::~Chip() {
+  SimArena& arena = SimArena::local();
+  for (auto& c : cores_) arena.release(std::move(c));
 }
 
 time_t_ Chip::shared_dma(int s, double words, time_t_ earliest) {

@@ -15,7 +15,13 @@ namespace lac::sim {
 
 class Chip {
  public:
+  /// The cores come from the calling thread's SimArena, reset to
+  /// fresh-constructed state, and go back to it on destruction, so a Chip
+  /// must be destroyed on the thread that built it.
   explicit Chip(const arch::ChipConfig& cfg);
+  ~Chip();
+  Chip(const Chip&) = delete;
+  Chip& operator=(const Chip&) = delete;
 
   const arch::ChipConfig& config() const { return cfg_; }
   int cores() const { return static_cast<int>(cores_.size()); }

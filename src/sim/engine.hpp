@@ -130,6 +130,7 @@ struct Stats {
   std::int64_t dma_words = 0;      ///< words moved over the memory interface
 
   std::int64_t flops() const { return 2 * mac_ops + mul_ops; }
+  bool operator==(const Stats&) const = default;
 
   Stats& operator+=(const Stats& o) {
     mac_ops += o.mac_ops; mul_ops += o.mul_ops; cmp_ops += o.cmp_ops;

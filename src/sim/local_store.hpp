@@ -46,13 +46,22 @@ class LocalStore {
     assert(addr >= 0 && addr < size());
     const time_t_ start = port_.acquire(earliest, access_);
     data_[static_cast<std::size_t>(addr)] = v;
+    high_water_ = std::max(high_water_, addr + 1);
     ++writes_;
     return start + 1.0;
   }
 
   /// Untimed accessors for DMA fills (timing charged on the DMA engine).
   double peek(index_t addr) const { return data_[static_cast<std::size_t>(addr)]; }
-  void poke(index_t addr, double v) { data_[static_cast<std::size_t>(addr)] = v; }
+  void poke(index_t addr, double v) { *fill(addr, addr + 1) = v; }
+  /// Bulk untimed fill of words [begin, end): marks them written once and
+  /// returns word `begin` for the caller to fill the range through. A
+  /// staged panel costs one mark, not one per word.
+  double* fill(index_t begin, index_t end) {
+    assert(begin >= 0 && begin <= end && end <= size());
+    high_water_ = std::max(high_water_, end);
+    return data_.data() + begin;
+  }
   const double* data() const { return data_.data(); }
 
   /// Re-point the port group (its lanes moved).
@@ -63,10 +72,13 @@ class LocalStore {
   std::int64_t writes() const { return writes_; }
   /// Restore fresh-constructed contents: zeroed words (a freshly
   /// constructed store is zero-initialized, and pooled reuse must be
-  /// byte-identical to construction) and no writes. The port lane is reset
-  /// with the lanes it lives in.
+  /// byte-identical to construction) and no writes. Only the words below
+  /// the high-water mark can be non-zero, so only those are zeroed: a
+  /// reset costs what the last request wrote, not the store's size. The
+  /// port lane is reset with the lanes it lives in.
   void reset() {
-    std::fill(data_.begin(), data_.end(), 0.0);
+    std::fill_n(data_.begin(), high_water_, 0.0);
+    high_water_ = 0;
     writes_ = 0;
   }
 
@@ -75,6 +87,8 @@ class LocalStore {
   int ports_;
   time_t_ access_;  ///< port time per access: `ports_` accesses per cycle
   PortLane port_;
+  /// Words [high_water_, size()) are zero: every write and fill raises it.
+  index_t high_water_ = 0;
   std::int64_t writes_ = 0;
 };
 

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <thread>
+#include <vector>
+
 #include "arch/presets.hpp"
 #include "blas/ref_blas.hpp"
 #include "common/numeric.hpp"
 #include "common/random.hpp"
+#include "obs/metrics.hpp"
 
 namespace lac::kernels {
 namespace {
@@ -69,6 +74,33 @@ TEST(ChipGemm, OffchipInterfaceChargesPanels) {
   blas::gemm(blas::Trans::No, blas::Trans::No, 1.0, a.view(), b.view(), 1.0,
              expect.view());
   EXPECT_LT(rel_error(r.out.view(), expect.view()), 1e-12);
+}
+
+TEST(ChipGemm, PooledCoresMatchFreshOnes) {
+  // A Chip takes its cores from the thread's SimArena. On a new thread the
+  // first request builds them fresh; the second, back to back, reuses
+  // them and must return the same output, cycles and Stats.
+  arch::ChipConfig chip = small_chip(2, 2.0, 4.0);
+  const index_t m = 32, n = 16, k = 16;
+  MatrixD a = random_matrix(m, k, 10);
+  MatrixD b = random_matrix(k, n, 11);
+  MatrixD c = random_matrix(m, n, 12);
+  obs::Counter& hits = obs::MetricsRegistry::global().counter("lac.sim.arena.core_hits");
+  std::vector<ChipGemmResult> runs;
+  std::uint64_t second_hits = 0;
+  std::thread worker([&] {
+    runs.push_back(chip_gemm(chip, 16, 16, a.view(), b.view(), c.view()));
+    const std::uint64_t before = hits.value();
+    runs.push_back(chip_gemm(chip, 16, 16, a.view(), b.view(), c.view()));
+    second_hits = hits.value() - before;
+  });
+  worker.join();
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_GE(second_hits, static_cast<std::uint64_t>(chip.cores));
+  EXPECT_TRUE(runs[1].out == runs[0].out);
+  EXPECT_EQ(runs[1].cycles.value(), runs[0].cycles.value());
+  EXPECT_TRUE(runs[1].stats == runs[0].stats);
+  EXPECT_EQ(runs[1].offchip_words, runs[0].offchip_words);
 }
 
 }  // namespace

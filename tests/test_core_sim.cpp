@@ -3,9 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "arch/presets.hpp"
+#include "common/matrix.hpp"
+#include "common/random.hpp"
+#include "fabric/kernel_registry.hpp"
+#include "fabric/sim_executor.hpp"
+#include "fabric/stream_schedule.hpp"
+#include "obs/metrics.hpp"
 #include "sim/arena.hpp"
 #include "sim/chip.hpp"
 
@@ -147,6 +156,18 @@ void expect_same_lanes(const Core& got, const Core& want) {
   EXPECT_TRUE(same_bytes(g.row_bus, w.row_bus));
 }
 
+/// Every MEM-A and MEM-B word of `core` is 0.0, as in a fresh core.
+void expect_zeroed_stores(const Core& core, const std::string& label) {
+  for (int r = 0; r < core.nr(); ++r)
+    for (int c = 0; c < core.nr(); ++c)
+      for (const LocalStore* m : {&core.pe(r, c).mem_a, &core.pe(r, c).mem_b}) {
+        index_t dirty = 0;
+        for (index_t i = 0; i < m->size(); ++i) dirty += m->peek(i) != 0.0 ? 1 : 0;
+        EXPECT_EQ(dirty, 0) << label << " PE(" << r << "," << c << ") "
+                            << (m == &core.pe(r, c).mem_a ? "MEM-A" : "MEM-B");
+      }
+}
+
 TEST(CoreSim, ResetRestoresFreshConstructedState) {
   // Dirty a core thoroughly through real ops -- bus slots, the memory
   // interface, store ports and contents, MAC issue ports, accumulators,
@@ -207,6 +228,103 @@ TEST(CoreSim, ResetRestoresFreshConstructedState) {
   EXPECT_DOUBLE_EQ(used.dma(4.0, 0.0), fresh.dma(4.0, 0.0));
   EXPECT_DOUBLE_EQ(used.finish_time(), fresh.finish_time());
   expect_same_lanes(used, fresh);
+
+  // Reset zeroes only the words written since the last one, so every
+  // write path must mark what it writes. Each path dirties the last word
+  // of MEM-A or MEM-B on a core of its own (one path's mark must not
+  // cover another's), on 1024-word MEM-A stores: 32^2 words, so the
+  // lower-triangular stage of a 128 x 128 L reaches the last one.
+  arch::CoreConfig small = cfg();
+  small.pe.mem_a_kbytes = 8.0;
+  const index_t words_a = 1024;
+  const index_t words_b = 256;
+  const int nr = small.nr;
+  Rng rng(11);
+  auto values = [&](index_t rows, index_t cols) {
+    MatrixD m(rows, cols);
+    for (index_t j = 0; j < cols; ++j)
+      for (index_t i = 0; i < rows; ++i) m(i, j) = rng.uniform(0.5, 1.0);
+    return m;
+  };
+  const MatrixD resident = values(2 * nr, 2 * nr);  // 4 words per PE
+  const MatrixD lower = values(128, 128);
+  const MatrixD panel = values(words_a * nr, nr);
+  const MatrixD panel_b = values(8, nr);
+  struct Path {
+    const char* name;
+    std::function<void(Core&)> write;
+  };
+  const Path paths[] = {
+      {"poke",
+       [&](Core& c) {
+         c.pe(3, 3).mem_a.poke(words_a - 1, 1.5);
+         c.pe(3, 3).mem_b.poke(words_b - 1, 2.5);
+       }},
+      {"write",
+       [&](Core& c) {
+         c.pe(1, 2).mem_a.write(words_a - 1, 1.5, 0.0);
+         c.pe(1, 2).mem_b.write(words_b - 1, 2.5, 0.0);
+       }},
+      {"stage_panel_b",
+       [&](Core& c) {
+         fabric::StreamSchedule(c).stage_panel_b(
+             words_b - 8, 8, [&](index_t p, int col) { return panel_b(p, col); });
+       }},
+      {"poke_resident",
+       [&](Core& c) { fabric::StreamSchedule(c).poke_resident(resident.view(), words_a - 4); }},
+      {"stage_resident",
+       [&](Core& c) { fabric::StreamSchedule(c).stage_resident(resident.view(), words_a - 4); }},
+      {"stage_resident_lower",
+       [&](Core& c) { fabric::StreamSchedule(c).stage_resident_lower(lower.view()); }},
+      {"stage_panel", [&](Core& c) { fabric::StreamSchedule(c).stage_panel(panel.view()); }},
+  };
+  for (const Path& path : paths) {
+    Core dirty(small, 4.0, 2);
+    path.write(dirty);
+    bool last_word = false;
+    for (int r = 0; r < nr; ++r)
+      for (int c = 0; c < nr; ++c)
+        last_word = last_word || dirty.pe(r, c).mem_a.peek(words_a - 1) != 0.0 ||
+                    dirty.pe(r, c).mem_b.peek(words_b - 1) != 0.0;
+    EXPECT_TRUE(last_word) << path.name << " does not reach the last word";
+    dirty.reset(2.0, 4);
+    expect_zeroed_stores(dirty, path.name);
+  }
+}
+
+TEST(SimArena, PooledCoresAreZeroedAfterEveryKind) {
+  // Every registered kind, run on this thread, returns its cores to the
+  // thread's arena; a core acquired after any request must hold only
+  // zeros, whichever staging path the request wrote through.
+  obs::Counter& hits = obs::MetricsRegistry::global().counter("lac.sim.arena.core_hits");
+  const fabric::SimExecutor sim;
+  struct Grid {
+    arch::CoreConfig cfg;
+    std::vector<index_t> ns;
+  };
+  const Grid grids[] = {{arch::lac_4x4_dp(), {4, 8, 16, 32, 64}},
+                        {arch::lac_8x8_dp(), {8, 16, 32, 64}}};
+  int requests = 0;
+  for (const Grid& g : grids)
+    for (fabric::KernelKind kind : fabric::registered_kernel_kinds())
+      for (index_t n : g.ns)
+        for (double bw : {0.3, 0.5, 4.0}) {
+          const fabric::KernelTraits& t = fabric::kernel_traits(kind);
+          sim.execute(t.sized_request(g.cfg, bw, n, 1));
+          ++requests;
+          const std::string label = std::string(t.name) + " nr " + std::to_string(g.cfg.nr) +
+                                    " n " + std::to_string(n) + " bw " + std::to_string(bw);
+          // Take every idle core of this config out of the pool at once.
+          SimArena& arena = SimArena::local();
+          const std::size_t pooled = arena.pooled();
+          const std::uint64_t hits_before = hits.value();
+          std::vector<std::unique_ptr<Core>> held;
+          for (std::size_t i = 0; i < pooled; ++i) held.push_back(arena.acquire(g.cfg, bw, 2));
+          EXPECT_GE(hits.value() - hits_before, 1u) << label;
+          for (const auto& core : held) expect_zeroed_stores(*core, label);
+          for (auto& core : held) arena.release(std::move(core));
+        }
+  EXPECT_EQ(requests, 10 * (5 + 4) * 3);
 }
 
 TEST(SimArena, PooledCoreIsReusedOnlyForMatchingConfig) {

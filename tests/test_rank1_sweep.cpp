@@ -449,6 +449,87 @@ TEST(Rank1Sweep, PlanMemoSurvivesPlanCacheRestart) {
   expect_same_core(fast, ref, "memoized plan after a cache restart");
 }
 
+TEST(Rank1Sweep, TrsmChainEqualsChunkedSweep) {
+  // TRSM's update of block row i subtracts L(i, lb) * X_lb for lb < i into
+  // one accumulator set, every segment gated at the block's C-in. Staged
+  // one slot per segment, the chain runs as one sweep per MEM-B chunk; it
+  // must leave the core exactly as i separate nr-step sweeps through one
+  // slot do (lanes, counts, accumulators), and as the op-by-op reference.
+  // A 3-segment MEM-B forces the split into chunks.
+  int cases = 0;
+  for (int nr : {2, 4, 8})
+    for (double bw : {0.5, 0.3})
+      for (index_t mem_b_words : {index_t{0}, index_t{3 * nr}}) {
+        arch::CoreConfig cfg = config(nr, 1, 2);
+        if (mem_b_words > 0) cfg.pe.mem_b_kbytes = static_cast<double>(mem_b_words) * 8 / 1024;
+        const bool dyadic = bw == 0.5;
+        const std::string label = case_label(nr, 1, 2, 0) + " bw " + std::to_string(bw) +
+                                  " MEM-B words " + std::to_string(mem_b_words);
+        sim::Core chain(cfg, bw, 2);
+        sim::Core chunked(cfg, bw, 2);
+        sim::Core ref(cfg, bw, 2);
+        seed_entry_state({&chain, &chunked, &ref}, static_cast<std::uint64_t>(nr + 40), dyadic,
+                         16.0);
+        const index_t segments = chunked.pe(0, 0).mem_b.size() / nr;
+        ASSERT_EQ(segments, mem_b_words > 0 ? 3 : 256 / nr) << label;
+        Rng rng(static_cast<std::uint64_t>(nr * 31) + (dyadic ? 1 : 2));
+        const std::uint64_t ff_before = ff_steps();
+        {
+          StreamSchedule chain_sched(chain);
+          StreamSchedule chunked_sched(chunked);
+          StreamSchedule ref_sched(ref);  // staging only: the sweeps are op-by-op
+          const index_t rows = 8 * nr;
+          double cursor = 0.0;
+          int parity = 0;
+          for (index_t i = 1; i < 8; ++i) {
+            cursor += static_cast<double>(nr) * nr / bw;
+            const double c_in_done = cursor;
+            std::vector<double> acc(static_cast<std::size_t>(nr * nr));
+            for (double& v : acc) v = rng.uniform(-1.0, 1.0);
+            std::vector<double> x(static_cast<std::size_t>(i * nr * nr));
+            for (double& v : x) v = rng.uniform(-1.0, 1.0);
+            auto x_at = [&](index_t lb, index_t pp, int c) {
+              return x[static_cast<std::size_t>((lb * nr + pp) * nr + c)];
+            };
+            for (StreamSchedule* s : {&chain_sched, &chunked_sched, &ref_sched})
+              s->load_accumulators(parity, c_in_done, [&](int r, int c) {
+                return acc[static_cast<std::size_t>(r * nr + c)];
+              });
+            for (index_t lb = 0; lb < i; ++lb) {
+              chain_sched.stage_panel_b(0, nr, [&](index_t pp, int c) { return x_at(lb, pp, c); });
+              fast_sweep(chain_sched, {parity, 0, rows, i * nr, lb * nr, (lb + 1) * nr, 0,
+                                       c_in_done, true});
+            }
+            for (index_t lb0 = 0; lb0 < i; lb0 += segments) {
+              const index_t lb1 = std::min(i, lb0 + segments);
+              for (index_t lb = lb0; lb < lb1; ++lb)
+                for (StreamSchedule* s : {&chunked_sched, &ref_sched})
+                  s->stage_panel_b((lb - lb0) * nr, nr,
+                                   [&](index_t pp, int c) { return x_at(lb, pp, c); });
+              const SweepArgs w{parity, 0, rows, i * nr, lb0 * nr, lb1 * nr, 0, c_in_done, true};
+              fast_sweep(chunked_sched, w);
+              reference_sweep(ref, w);
+            }
+            const std::string at = label + " i " + std::to_string(i);
+            expect_same_core(chunked, chain, at + " chunked vs chain");
+            expect_same_core(chunked, ref, at + " chunked vs op-by-op");
+            Between between(0);
+            cursor = std::max(cursor, between.drain(chunked, chain, parity)) + 1.0;
+            between.drain(chunked, ref, parity);
+            parity ^= 1;
+            ++cases;
+          }
+        }
+        // The schedules add their counts when destroyed. Only the chunked
+        // sweeps are long enough to close, and on the grid the fast-forward
+        // does close them (at bw 0.3 most gates are off it).
+        if (dyadic) {
+          EXPECT_GT(ff_steps(), ff_before) << label;
+        }
+      }
+  EXPECT_EQ(cases, 3 * 2 * 2 * 7);
+}
+
 TEST(Rank1Sweep, CountersAddUpOverTrsmAndChipGemmRequests) {
   // The schedule counters are batched per StreamSchedule; at each kernel
   // boundary they must total one plan lookup per rank-1 sweep and nr
@@ -460,21 +541,36 @@ TEST(Rank1Sweep, CountersAddUpOverTrsmAndChipGemmRequests) {
   };
   SimExecutor sim;
 
-  // TRSM: n = 16, m = 8 on 4x4: per block row i and column block jb, one
-  // nr-step sweep for each lb < i.
-  const arch::CoreConfig cfg = arch::lac_4x4_dp();
-  const int nr = cfg.nr;
+  // TRSM: n = 16, m = 8 on 4x4: per block row i >= 1 and column block jb,
+  // one sweep over the i nr-step segments lb < i for each MEM-B chunk.
+  // The default MEM-B holds all of them; a 2-segment one splits i = 3.
+  const int nr = 4;
   const index_t n = 16;
   const index_t m = 8;
+  const index_t kb = n / nr;
   MatrixD l = random_lower_triangular(n, 31);
   MatrixD b = random_matrix(n, m, 32);
-  auto before = totals();
-  ASSERT_TRUE(sim.execute(make_trsm(cfg, 0.5, l.view(), b.view())).ok);
-  auto after = totals();
-  const index_t kb = n / nr;
-  const std::uint64_t trsm_sweeps = static_cast<std::uint64_t>((m / nr) * kb * (kb - 1) / 2);
-  EXPECT_EQ(after[0] - before[0], trsm_sweeps);
-  EXPECT_EQ(after[1] - before[1], trsm_sweeps * static_cast<std::uint64_t>(nr * nr));
+  std::vector<KernelResult> trsm;
+  for (index_t segments : {index_t{0}, index_t{2}}) {
+    arch::CoreConfig cfg = arch::lac_4x4_dp();
+    if (segments > 0) cfg.pe.mem_b_kbytes = static_cast<double>(segments * nr) * 8 / 1024;
+    const auto before = totals();
+    trsm.push_back(sim.execute(make_trsm(cfg, 0.5, l.view(), b.view())));
+    ASSERT_TRUE(trsm.back().ok);
+    const auto after = totals();
+    std::uint64_t sweeps = 0;
+    for (index_t i = 1; i < kb; ++i)
+      sweeps += static_cast<std::uint64_t>(segments > 0 ? (i + segments - 1) / segments : 1);
+    sweeps *= static_cast<std::uint64_t>(m / nr);
+    EXPECT_EQ(after[0] - before[0], sweeps) << "segments " << segments;
+    EXPECT_EQ(after[1] - before[1],
+              static_cast<std::uint64_t>((m / nr) * kb * (kb - 1) / 2 * nr * nr));
+  }
+  // MEM-B capacity moves the sweep boundaries, never a value, a cycle or
+  // a counter.
+  EXPECT_TRUE(trsm[0].out == trsm[1].out);
+  EXPECT_EQ(bits(trsm[0].cycles.value()), bits(trsm[1].cycles.value()));
+  EXPECT_TRUE(trsm[0].stats == trsm[1].stats);
 
   // CHIP_GEMM: per kc panel, core, mc tile, nr-column block and nr-row
   // block, one kc-step sweep.
@@ -486,9 +582,9 @@ TEST(Rank1Sweep, CountersAddUpOverTrsmAndChipGemmRequests) {
   MatrixD a = random_matrix(32, 32, 33);
   MatrixD bb = random_matrix(32, 32, 34);
   MatrixD c = random_matrix(32, 32, 35);
-  before = totals();
+  const auto before = totals();
   ASSERT_TRUE(sim.execute(make_chip_gemm(chip, mc, kc, a.view(), bb.view(), c.view())).ok);
-  after = totals();
+  const auto after = totals();
   const index_t tiles = 32 / chip.cores / mc;
   const std::uint64_t chip_sweeps =
       static_cast<std::uint64_t>((32 / kc) * chip.cores * tiles * (32 / cnr) * (mc / cnr));
