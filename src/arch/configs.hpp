@@ -43,6 +43,14 @@ struct PeConfig {
   double local_store_words() const {
     return local_store_kbytes() * 1024.0 / bytes_of(precision);
   }
+  /// Words of MEM-A and of MEM-B per PE for this precision: the sizes of a
+  /// simulated PE's stores.
+  index_t mem_a_words() const {
+    return static_cast<index_t>(mem_a_kbytes * 1024.0 / bytes_of(precision));
+  }
+  index_t mem_b_words() const {
+    return static_cast<index_t>(mem_b_kbytes * 1024.0 / bytes_of(precision));
+  }
 };
 
 /// One Linear Algebra Core: nr x nr PEs + broadcast buses + SFU.

@@ -545,6 +545,18 @@ KernelTraits chip_gemm_traits() {
         req.b.cols() != req.c.cols())
       return "CHIP_GEMM shapes/blocking: m splits into S row panels of mc, "
              "k into kc panels";
+    // Each PE holds (mc/nr)(kc/nr) words of the resident A tile in MEM-A
+    // and a kc-word B panel slice in MEM-B.
+    const arch::PeConfig& pe = req.chip.core.pe;
+    const index_t tile_words = (req.mc / nr) * (req.kc / nr);
+    if (tile_words > pe.mem_a_words() || req.kc > pe.mem_b_words()) {
+      std::ostringstream err;
+      err << "CHIP_GEMM blocking mc " << req.mc << " x kc " << req.kc
+          << " overflows the PE stores: needs " << tile_words << " MEM-A words (has "
+          << pe.mem_a_words() << ") and " << req.kc << " MEM-B words (has "
+          << pe.mem_b_words() << ")";
+      return err.str();
+    }
     return "";
   };
   t.useful_macs = [](const KernelRequest& req) {

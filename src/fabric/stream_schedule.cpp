@@ -92,23 +92,16 @@ std::shared_ptr<const Rank1Plan> rank1_plan(const Rank1PlanKey& key, bool& hit) 
 // of port time, a chain exactly one), so the rest of the row has a closed
 // form (fast_forward_row).
 //
-// Exactness guard: a closed form adds k*d where stepping adds d k times.
-// Both are exact, hence equal, when every time, busy count and increment
-// is a multiple of 2^-8 (ports up to 256) below 2^36 and k < 2^31: every
-// sum then stays below 2^37, within 45 significant bits. Other rows
-// (bandwidths like 0.3 words/cycle, 3-port stores) and sweeps too short
-// for the check to pay off (TRSM's and CHIP_GEMM's nr steps) are stepped
-// to the end.
+// Exactness guard: the closed form is exact on the grid of sim::on_grid,
+// so a row closes only when its resources and accumulator chains are on it.
+// Other rows (bandwidths like 0.3 words/cycle, 3-port stores) and sweeps
+// too short for the check to pay off (TRSM's and CHIP_GEMM's nr steps) are
+// stepped to the end; CHIP_GEMM closes whole repeated column blocks instead
+// (sim::Core::close_blocks).
 
-constexpr double kGridScale = 256.0;
-constexpr double kGridLimit = 0x1p44;  // 2^36 on the 2^-8 grid
+using sim::on_grid;
+
 constexpr index_t kMaxJump = index_t{1} << 31;
-
-bool on_grid(double x) {
-  const double y = x * kGridScale;
-  return std::abs(y) < kGridLimit &&
-         y == static_cast<double>(static_cast<std::int64_t>(y));
-}
 
 /// One rank1_update call, as the row sweeps see it.
 struct Sweep {
@@ -414,21 +407,24 @@ template <int NR>
 }
 
 template <int NR>
-[[gnu::always_inline]] inline index_t sweep_nr(sim::Core& core, const Sweep& w) {
+[[gnu::always_inline]] inline index_t sweep_nr(sim::Core& core, const Sweep& w, bool values) {
   const int nr = NR > 0 ? NR : core.nr();
   const index_t ff = sweep_timing<NR>(sweep_lanes(core, w.parity), w, nr);
   count_ops(core.lanes(), w, nr);
-  sweep_values<NR>(core, w, nr);
+  if (values) sweep_values<NR>(core, w, nr);
   return ff;
 }
 
-/// Run sweep `w` on every row; returns the row-steps fast-forwarded.
+/// Run sweep `w` on every row, its values too when `values`; returns the
+/// row-steps fast-forwarded. Timing-only sweeps come through here as well:
+/// built for baseline x86-64 alone, GCC splits the lane stepper's vectors
+/// into scalar pieces.
 LAC_FMA_DISPATCH
-index_t sweep(sim::Core& core, const Sweep& w) {
+index_t run_sweep(sim::Core& core, const Sweep& w, bool values) {
   switch (core.nr()) {
-    case 4: return sweep_nr<4>(core, w);
-    case 8: return sweep_nr<8>(core, w);
-    default: return sweep_nr<0>(core, w);
+    case 4: return sweep_nr<4>(core, w, values);
+    case 8: return sweep_nr<8>(core, w, values);
+    default: return sweep_nr<0>(core, w, values);
   }
 }
 
@@ -514,9 +510,41 @@ sim::time_t_ StreamSchedule::stage_panel(ConstViewD a) {
   return dma(static_cast<double>(k) * cols);
 }
 
+void StreamSchedule::time_accumulators(int parity, sim::time_t_ ready) {
+  sim::MeshLanes& m = core_.lanes();
+  assert(parity >= 0 && parity < m.accumulators);
+  using sim::MeshLanes;
+  std::fill_n(m.word(MeshLanes::acc_word(parity, MeshLanes::kAccReady)), m.pes, ready);
+  std::fill_n(m.word(MeshLanes::acc_word(parity, MeshLanes::kAccChain)), m.pes, ready);
+}
+
+sim::time_t_ StreamSchedule::accumulators_ready(int parity) const {
+  const sim::MeshLanes& m = core_.lanes();
+  assert(parity >= 0 && parity < m.accumulators);
+  const double* ready = m.word(sim::MeshLanes::acc_word(parity, sim::MeshLanes::kAccReady));
+  sim::time_t_ t = 0.0;
+  for (std::size_t i = 0; i < m.pes; ++i) t = std::max(t, ready[i]);
+  return t;
+}
+
 void StreamSchedule::rank1_update(int parity, index_t a_base, index_t rows,
                                   index_t row0, index_t p_begin, index_t p_end,
                                   index_t slot, sim::time_t_ gate, bool negate) {
+  sweep(parity, a_base, rows, row0, p_begin, p_end, slot, gate, negate, true);
+}
+
+void StreamSchedule::rank1_timing(int parity, index_t rows, index_t row0, index_t p_begin,
+                                  index_t p_end, sim::time_t_ gate) {
+  sweep(parity, 0, rows, row0, p_begin, p_end, 0, gate, false, false);
+}
+
+void StreamSchedule::count_closed_sweeps(index_t sweeps, index_t steps) {
+  counts_.ff_steps += static_cast<std::uint64_t>(sweeps * steps * core_.nr());
+}
+
+void StreamSchedule::sweep(int parity, index_t a_base, index_t rows, index_t row0,
+                           index_t p_begin, index_t p_end, index_t slot, sim::time_t_ gate,
+                           bool negate, bool values) {
   // Replay the SoA plan: owner columns and MEM-A addresses are pure
   // geometry, so repeat shapes skip the address derivation entirely. The
   // schedule keeps the last one (kernels run one shape back to back) and
@@ -531,7 +559,7 @@ void StreamSchedule::rank1_update(int parity, index_t a_base, index_t rows,
     ++(hit ? counts_.plan_hits : counts_.plan_misses);
   }
   const Sweep w{parity, a_base, slot, p_end - p_begin, gate, negate, *memo_plan_};
-  const index_t ff = sweep(core_, w);
+  const index_t ff = run_sweep(core_, w, values);
   counts_.ff_steps += static_cast<std::uint64_t>(ff);
   counts_.exact_steps += static_cast<std::uint64_t>(w.steps * core_.nr() - ff);
 }

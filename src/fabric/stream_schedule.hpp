@@ -117,24 +117,27 @@ class StreamSchedule {
   template <typename ValueFn>
   void load_accumulators(int parity, sim::time_t_ ready, const ValueFn& value) {
     const int nr = core_.nr();
+    double* acc = core_.lanes().word(sim::MeshLanes::acc_word(parity));
     for (int r = 0; r < nr; ++r)
-      for (int c = 0; c < nr; ++c)
-        core_.pe(r, c).mac.set_acc(parity, sim::at(value(r, c), ready));
+      for (int c = 0; c < nr; ++c) acc[r * nr + c] = value(r, c);
+    time_accumulators(parity, ready);
   }
   /// Drain accumulator set `parity` through `sink(r, c, value)`; returns
   /// the pipeline-drain completion (the earliest the block may stream out).
   template <typename SinkFn>
   sim::time_t_ drain_accumulators(int parity, const SinkFn& sink) {
     const int nr = core_.nr();
-    sim::time_t_ ready = 0.0;
+    const double* acc = core_.lanes().word(sim::MeshLanes::acc_word(parity));
     for (int r = 0; r < nr; ++r)
-      for (int c = 0; c < nr; ++c) {
-        sim::TimedVal v = core_.pe(r, c).mac.read_acc(parity);
-        sink(r, c, v.v);
-        ready = std::max(ready, v.ready);
-      }
-    return ready;
+      for (int c = 0; c < nr; ++c) sink(r, c, acc[r * nr + c]);
+    return accumulators_ready(parity);
   }
+  /// The timing half of load_accumulators: every accumulator of set
+  /// `parity` ready, and its chain free, at `ready`.
+  void time_accumulators(int parity, sim::time_t_ ready);
+  /// The timing half of drain_accumulators: the latest ready time of set
+  /// `parity`.
+  sim::time_t_ accumulators_ready(int parity) const;
 
   // ---- rank-1 update sweeps ---------------------------------------------
   /// p_end - p_begin rank-1 updates into accumulator set `parity`: for each
@@ -145,8 +148,20 @@ class StreamSchedule {
   void rank1_update(int parity, index_t a_base, index_t rows, index_t row0,
                     index_t p_begin, index_t p_end, index_t slot,
                     sim::time_t_ gate, bool negate = false);
+  /// The timing half of rank1_update: every port, bus, MAC chain,
+  /// accumulator time and op count as rank1_update leaves them, the
+  /// accumulator values untouched (a caller that computes the values in a
+  /// pass of its own, as CHIP_GEMM does).
+  void rank1_timing(int parity, index_t rows, index_t row0, index_t p_begin,
+                    index_t p_end, sim::time_t_ gate);
+  /// Count `sweeps` sweeps of `steps` steps that a caller closed without
+  /// stepping them (sim::Core::close_blocks) as fast-forwarded row-steps.
+  void count_closed_sweeps(index_t sweeps, index_t steps);
 
  private:
+  void sweep(int parity, index_t a_base, index_t rows, index_t row0, index_t p_begin,
+             index_t p_end, index_t slot, sim::time_t_ gate, bool negate, bool values);
+
   /// Sweep counts, added to the process-wide counters once, when the
   /// schedule is destroyed (a sharded atomic add per sweep costs as much
   /// as stepping a short one).

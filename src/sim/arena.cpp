@@ -72,8 +72,7 @@ void SimArena::release(std::unique_ptr<Core> core) {
   const arch::CoreConfig& cfg = core->config();
   for (PoolEntry& entry : pool_) {
     if (!config_equal(entry.cfg, cfg)) continue;
-    if (entry.free.size() < kMaxPooledPerConfig)
-      entry.free.push_back(std::move(core));
+    entry.free.push_back(std::move(core));
     return;
   }
   pool_.push_back(PoolEntry{cfg, {}});

@@ -46,18 +46,16 @@ class SimArena {
   std::unique_ptr<Core> acquire(const arch::CoreConfig& cfg,
                                 double bw_words_per_cycle, int accumulators);
 
-  /// Return a core to the pool (dropped once the per-config cap is full).
+  /// Return a core to the pool. Every core released here was acquired
+  /// here, and a miss builds one only when none is idle, so the pool keeps
+  /// per config as many idle cores as the thread has held at once (a
+  /// sim::Chip's cores all come back for its next request) and no more.
   void release(std::unique_ptr<Core> core);
 
   /// Pooled (idle) cores across all configs, for tests.
   std::size_t pooled() const;
 
  private:
-  /// Bound on idle cores kept per distinct config: serving traffic uses a
-  /// handful of configs per thread, and one core per config is enough to
-  /// make the steady state allocation-free (nested acquisitions are rare).
-  static constexpr std::size_t kMaxPooledPerConfig = 4;
-
   struct PoolEntry {
     arch::CoreConfig cfg;
     std::vector<std::unique_ptr<Core>> free;

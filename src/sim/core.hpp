@@ -4,6 +4,7 @@
 // memory, and a special-function unit (Fig 1.1 / Fig 3.1).
 #include <cassert>
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "arch/configs.hpp"
@@ -108,6 +109,34 @@ class Core {
   /// (one extra hop each way).
   TimedVal special(SfuKind kind, int row, int col, TimedVal x, time_t_ earliest = 0.0);
 
+  /// ---- repeated blocks ----------------------------------------------------
+  // A kernel that runs one block of work again and again (CHIP_GEMM's
+  // column blocks: C in, a sweep, C out) marks the core after each block it
+  // steps. A block's times are max and + of its entry times and fixed
+  // durations; the only absolute constant, the 0.0 floor of a MAC's
+  // operand max, is dominated once times are positive. So once the last
+  // block moved every word it carries into the next by the same delta, each
+  // further block is the last one shifted by delta, and on the exactness
+  // grid (sim::on_grid) every sum of it is exact.
+
+  /// Record the state after a block whose last sweep wrote accumulator set
+  /// `acc`. Records nothing when a block duration is off the grid (then no
+  /// run closes).
+  void mark_block(int acc);
+  /// Close `k` more blocks like the one since mark_block(), whose last
+  /// sweep wrote set `acc`, and return the time they take (0 when they do
+  /// not close, and nothing changes). The blocks must double-buffer their
+  /// sweeps through accumulator sets 0 and 1 and keep their parity phase
+  /// over k. They close when every word a block reads before writing it
+  /// (the MEM-A, MEM-B and issue-port next_free of every PE, the row buses'
+  /// and the memory interface's next_free) and set `acc`'s ready and chain
+  /// words (against those of the set the marked block wrote last) moved by
+  /// the same delta > 0, and stay on the grid k deltas on. Then those words
+  /// and the ready and chain words of both sets move by k * delta, and the
+  /// op counts, the bus and memory-interface busy time and ops and the DMA
+  /// words gain k times the last block's increment.
+  time_t_ close_blocks(std::int64_t k, int acc);
+
   /// ---- bookkeeping --------------------------------------------------------
   /// Latest completion time over every resource and accumulator: the
   /// makespan of everything issued so far.
@@ -126,6 +155,14 @@ class Core {
   Resource mem_if_;
   Sfu sfu_;
   std::int64_t dma_words_ = 0;
+  /// The state after the last marked block (mark_block); the lanes are
+  /// copied in on a core's first mark.
+  struct BlockMark {
+    std::optional<MeshLanes> lanes;
+    Resource mem_if;
+    std::int64_t dma_words = 0;
+    int acc = -1;  ///< the set the block's last sweep wrote; -1: no mark
+  } mark_;
 };
 
 }  // namespace lac::sim

@@ -10,6 +10,7 @@
 // resource-free times. Functional values flow with the timestamps, so the
 // simulator simultaneously verifies numerics and yields exact cycle counts.
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -59,6 +60,26 @@ struct TimedVal {
 
 inline TimedVal at(double v, time_t_ ready) { return {v, ready}; }
 
+/// The exactness grid of every closed form over simulated time (a rank-1
+/// sweep's steady state, a run of repeated blocks): a closed form adds
+/// k * d where stepping adds d k times, and both are exact, hence equal,
+/// when every time, busy count and increment is a multiple of 2^-8 (store
+/// ports up to 256) below 2^36 and k < 2^31: every sum then stays below
+/// 2^37, within 45 significant bits.
+constexpr double kGridTop = 0x1p36;  ///< every time on the grid is below this
+
+/// How far x lies from the grid's 2^-8 steps, in steps: 0 exactly when x
+/// is on them (for |x| < 2^43: adding and taking away 1.5 * 2^52 rounds
+/// x * 2^8 to an integer). For a double or, lane by lane, a GCC vector of
+/// doubles.
+template <typename T>
+inline T grid_miss(T x) {
+  constexpr double kRound = 0x1.8p52;
+  const T y = x * 256.0;
+  return ((y + kRound) - kRound) - y;
+}
+inline bool on_grid(double x) { return std::abs(x) < kGridTop && grid_miss(x) == 0.0; }
+
 /// The acquire recurrence of every structural resource: claim a slot no
 /// earlier than `earliest` for `duration` cycles; returns the start.
 inline time_t_ acquire_slot(time_t_& next_free, time_t_& busy, std::int64_t& ops,
@@ -84,6 +105,14 @@ class Resource {
   time_t_ busy_cycles() const { return busy_; }
   std::int64_t ops() const { return ops_; }
   void reset() { next_free_ = 0.0; busy_ = 0.0; ops_ = 0; }
+  /// Run `k` more periods like the last one, `mark` being this resource a
+  /// period ago: next_free moves by `shift`, busy and ops gain k times what
+  /// the last period added.
+  void repeat(const Resource& mark, std::int64_t k, time_t_ shift) {
+    next_free_ += shift;
+    busy_ += static_cast<time_t_>(k) * (busy_ - mark.busy_);
+    ops_ += k * (ops_ - mark.ops_);
+  }
 
  private:
   time_t_ next_free_ = 0.0;

@@ -10,6 +10,8 @@
 #include "blas/ref_blas.hpp"
 #include "common/numeric.hpp"
 #include "common/random.hpp"
+#include "fabric/model_executor.hpp"
+#include "fabric/sim_executor.hpp"
 #include "obs/metrics.hpp"
 
 namespace lac::kernels {
@@ -101,6 +103,61 @@ TEST(ChipGemm, PooledCoresMatchFreshOnes) {
   EXPECT_EQ(runs[1].cycles.value(), runs[0].cycles.value());
   EXPECT_TRUE(runs[1].stats == runs[0].stats);
   EXPECT_EQ(runs[1].offchip_words, runs[0].offchip_words);
+}
+
+TEST(ChipGemm, EightCoreChipReusesAllItsPooledCores) {
+  // The thread's arena keeps as many idle cores per config as the thread
+  // has held at once: after the first request on an 8-core chip, each
+  // request takes all eight from the pool and builds none.
+  const arch::ChipConfig chip = arch::lap_s8();
+  const index_t m = 64, n = 16, k = 8;
+  MatrixD a = random_matrix(m, k, 13);
+  MatrixD b = random_matrix(k, n, 14);
+  MatrixD c = random_matrix(m, n, 15);
+  obs::Counter& hits = obs::MetricsRegistry::global().counter("lac.sim.arena.core_hits");
+  obs::Counter& misses = obs::MetricsRegistry::global().counter("lac.sim.arena.core_misses");
+  std::vector<std::uint64_t> repeat_hits, repeat_misses;
+  std::thread worker([&] {
+    chip_gemm(chip, 4, 4, a.view(), b.view(), c.view());
+    for (int i = 0; i < 2; ++i) {
+      const std::uint64_t h = hits.value();
+      const std::uint64_t x = misses.value();
+      chip_gemm(chip, 4, 4, a.view(), b.view(), c.view());
+      repeat_hits.push_back(hits.value() - h);
+      repeat_misses.push_back(misses.value() - x);
+    }
+  });
+  worker.join();
+  ASSERT_EQ(chip.cores, 8);
+  EXPECT_EQ(repeat_hits, (std::vector<std::uint64_t>{8, 8}));
+  EXPECT_EQ(repeat_misses, (std::vector<std::uint64_t>{0, 0}));
+}
+
+TEST(ChipGemm, BlockingsThatOverflowThePeStoresFailOnBothBackends) {
+  // A PE holds (mc/nr)(kc/nr) words of the A tile in MEM-A (2048 words on
+  // the 4x4 core) and a kc-word B slice in MEM-B (256 words). kc = 512
+  // overflows MEM-B; mc = kc = 256 needs 4096 MEM-A words.
+  arch::ChipConfig chip = small_chip(2, 8.0, 4.0);
+  struct Case {
+    index_t m, n, k, mc, kc;
+  };
+  for (const Case& t : {Case{8, 4, 512, 4, 512}, Case{512, 4, 256, 256, 256}}) {
+    const fabric::KernelRequest req =
+        fabric::make_chip_gemm(chip, t.mc, t.kc, random_matrix(t.m, t.k, 16).view(),
+                               random_matrix(t.k, t.n, 17).view(),
+                               random_matrix(t.m, t.n, 18).view());
+    const fabric::KernelResult sim = fabric::SimExecutor().execute(req);
+    const fabric::KernelResult model = fabric::ModelExecutor().execute(req);
+    EXPECT_FALSE(sim.ok) << "mc " << t.mc << " kc " << t.kc;
+    EXPECT_FALSE(model.ok) << "mc " << t.mc << " kc " << t.kc;
+    EXPECT_NE(sim.error.find("PE stores"), std::string::npos) << sim.error;
+    EXPECT_EQ(model.error, sim.error);
+  }
+  // The largest blockings that fit still run.
+  const fabric::KernelRequest fits = fabric::make_chip_gemm(
+      chip, 128, 256, random_matrix(256, 256, 19).view(), random_matrix(256, 4, 20).view(),
+      random_matrix(256, 4, 21).view());
+  EXPECT_TRUE(fabric::SimExecutor().execute(fits).ok);
 }
 
 }  // namespace

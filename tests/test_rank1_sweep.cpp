@@ -9,7 +9,9 @@
 // match bit for bit after every sweep: every per-field lane array of the
 // mesh (port and issue-port next_free, accumulator value/ready/chain_free,
 // op counts), the row and column buses, the store and register-file
-// counters and the finish time.
+// counters and the finish time. The same comparison pins the block close
+// (sim::Core::close_blocks): CHIP_GEMM column blocks closed once they
+// repeat against the same blocks stepped to the end.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,11 +23,13 @@
 
 #include "arch/presets.hpp"
 #include "common/random.hpp"
+#include "fabric/kernel_registry.hpp"
 #include "fabric/kernel_request.hpp"
 #include "fabric/sim_executor.hpp"
 #include "fabric/stream_schedule.hpp"
 #include "obs/metrics.hpp"
 #include "sim/core.hpp"
+#include "sim_digest.hpp"
 
 namespace lac::fabric {
 namespace {
@@ -572,8 +576,11 @@ TEST(Rank1Sweep, CountersAddUpOverTrsmAndChipGemmRequests) {
   EXPECT_EQ(bits(trsm[0].cycles.value()), bits(trsm[1].cycles.value()));
   EXPECT_TRUE(trsm[0].stats == trsm[1].stats);
 
-  // CHIP_GEMM: per kc panel, core, mc tile, nr-column block and nr-row
-  // block, one kc-step sweep.
+  // CHIP_GEMM: per kc panel, core and mc tile (a segment), n / nr column
+  // blocks of mc / nr kc-step sweeps. On this chip (4 words/cycle per
+  // core) a segment steps two blocks, then the second repeats the first
+  // shifted and the core closes the rest: one plan lookup per stepped
+  // sweep, and kc * nr row-steps per sweep, stepped or closed.
   arch::ChipConfig chip = arch::lap_s8();
   chip.cores = 2;
   const int cnr = chip.core.nr;
@@ -583,13 +590,197 @@ TEST(Rank1Sweep, CountersAddUpOverTrsmAndChipGemmRequests) {
   MatrixD bb = random_matrix(32, 32, 34);
   MatrixD c = random_matrix(32, 32, 35);
   const auto before = totals();
+  const std::uint64_t ff_before = ff_steps();
   ASSERT_TRUE(sim.execute(make_chip_gemm(chip, mc, kc, a.view(), bb.view(), c.view())).ok);
   const auto after = totals();
-  const index_t tiles = 32 / chip.cores / mc;
-  const std::uint64_t chip_sweeps =
-      static_cast<std::uint64_t>((32 / kc) * chip.cores * tiles * (32 / cnr) * (mc / cnr));
-  EXPECT_EQ(after[0] - before[0], chip_sweeps);
-  EXPECT_EQ(after[1] - before[1], chip_sweeps * static_cast<std::uint64_t>(kc * cnr));
+  const std::uint64_t segments = static_cast<std::uint64_t>((32 / kc) * chip.cores * (32 / chip.cores / mc));
+  const std::uint64_t per_block = static_cast<std::uint64_t>(mc / cnr);
+  const std::uint64_t sweeps = segments * static_cast<std::uint64_t>(32 / cnr) * per_block;
+  const std::uint64_t stepped = segments * 2 * per_block;
+  const std::uint64_t row_steps = static_cast<std::uint64_t>(kc * cnr);
+  EXPECT_EQ(after[0] - before[0], stepped);
+  EXPECT_EQ(after[1] - before[1], sweeps * row_steps);
+  EXPECT_GE(ff_steps() - ff_before, (sweeps - stepped) * row_steps);
+}
+
+/// Column block jb of CHIP_GEMM's segment on one core, timing only, as
+/// kernels::chip_gemm runs it: a B slice in, then per C block C in, a
+/// kc-step sweep into the alternating accumulator set, C out, all behind
+/// the DMA cursor. Returns the cursor after the block.
+double column_block(StreamSchedule& sched, index_t jb, index_t mc, index_t kc, double cursor) {
+  sim::Core& core = sched.core();
+  const int nr = core.nr();
+  const index_t per_block = mc / nr;
+  cursor = core.dma(static_cast<double>(kc) * nr, cursor);
+  const double b_ready = cursor;
+  for (index_t ib = 0; ib < per_block; ++ib) {
+    const int parity = static_cast<int>((jb * per_block + ib) % 2);
+    cursor = core.dma(static_cast<double>(nr) * nr, cursor);
+    sched.time_accumulators(parity, std::max(cursor, b_ready));
+    sched.rank1_timing(parity, mc, ib * nr, 0, kc, b_ready);
+    cursor = core.dma(static_cast<double>(nr) * nr,
+                      std::max(cursor, sched.accumulators_ready(parity)));
+  }
+  return cursor;
+}
+
+/// The accumulator set block jb's last sweep writes.
+int last_set(index_t jb, index_t per_block) {
+  return static_cast<int>((jb * per_block + per_block - 1) % 2);
+}
+
+/// A segment: the A tile in, then `blocks` column blocks. With `close`,
+/// the core marks each block and closes the rest once a block repeats the
+/// last one shifted. Returns the blocks stepped.
+index_t column_blocks(sim::Core& core, index_t blocks, index_t mc, index_t kc, double start,
+                      bool close) {
+  const index_t per_block = mc / core.nr();
+  StreamSchedule sched(core);
+  double cursor = core.dma(static_cast<double>(mc) * kc, start);
+  for (index_t jb = 0; jb < blocks; ++jb) {
+    cursor = column_block(sched, jb, mc, kc, cursor);
+    if (!close) continue;
+    const index_t left = blocks - 1 - jb;
+    if (jb > 0 && left > 0 && left * per_block % 2 == 0 &&
+        core.close_blocks(left, last_set(jb, per_block)) > 0.0)
+      return jb + 1;
+    core.mark_block(last_set(jb, per_block));
+  }
+  return blocks;
+}
+
+TEST(Rank1Sweep, ClosedColumnBlocksMatchSteppedOnes) {
+  // Two segments back to back on one core from a random entry state,
+  // closed once their blocks repeat on one core and stepped to the end on
+  // the other: the whole core state must match, accumulator times of both
+  // sets included. A power-of-two bandwidth puts every transfer on the
+  // grid; 3 words/cycle and 3-port stores put it off, and nothing closes.
+  int cases = 0;
+  int closed = 0;
+  for (int nr : {2, 4, 8})
+    for (int ports : {1, 3})
+      for (double bw : {0.5, 4.0, 3.0})
+        for (index_t per_block : {1, 2, 3})
+          for (index_t kc_blocks : {1, 3})
+            for (index_t blocks : {7, 8}) {
+              const arch::CoreConfig cfg = config(nr, ports, ports == 1 ? 2 : 3);
+              const index_t mc = per_block * nr;
+              const index_t kc = kc_blocks * nr;
+              const std::string label = case_label(nr, cfg.pe.mem_a_ports, cfg.pe.mem_b_ports,
+                                                   0) +
+                                        " bw " + std::to_string(bw) + " mc " +
+                                        std::to_string(mc) + " kc " + std::to_string(kc) +
+                                        " blocks " + std::to_string(blocks);
+              sim::Core fast(cfg, bw, 2);
+              sim::Core ref(cfg, bw, 2);
+              seed_entry_state({&fast, &ref},
+                               static_cast<std::uint64_t>(cases + 1), true, 24.0);
+              const bool on_grid = ports == 1 && bw != 3.0;
+              double t_fast = 0.0;
+              double t_ref = 0.0;
+              for (int segment = 0; segment < 2; ++segment) {
+                const index_t stepped = column_blocks(fast, blocks, mc, kc, t_fast, true);
+                column_blocks(ref, blocks, mc, kc, t_ref, false);
+                if (stepped < blocks) ++closed;
+                if (!on_grid) {
+                  EXPECT_EQ(stepped, blocks) << label;
+                }
+                expect_same_core(fast, ref, label + " segment " + std::to_string(segment));
+                t_fast = fast.finish_time();
+                t_ref = ref.finish_time();
+              }
+              ++cases;
+            }
+  EXPECT_EQ(cases, 3 * 2 * 3 * 3 * 2 * 2);
+  EXPECT_GT(closed, cases / 2);
+}
+
+TEST(Rank1Sweep, BlocksCloseOnlyWhenEveryComparedWordMovedTogether) {
+  // Two column blocks of mc = kc = nr at 4 words/cycle, the first marked:
+  // the second repeats it shifted, so the rest closes. Moving any one
+  // compared word apart after the second block (a MEM-A port, an issue
+  // port, a row bus, the accumulator times the block's sweep left) or off
+  // the grid must stop the close and change nothing.
+  const arch::CoreConfig cfg = config(4, 1, 2);
+  const int nr = cfg.nr;
+  enum Nudge { kNone, kMemA, kIssue, kRowBus, kAccTimes, kOffGrid };
+  for (Nudge nudge : {kNone, kMemA, kIssue, kRowBus, kAccTimes, kOffGrid}) {
+    sim::Core core(cfg, 4.0, 2);
+    StreamSchedule sched(core);
+    double cursor = core.dma(static_cast<double>(nr) * nr, 0.0);
+    cursor = column_block(sched, 0, nr, nr, cursor);
+    core.mark_block(last_set(0, 1));
+    cursor = column_block(sched, 1, nr, nr, cursor);
+    sim::Pe& pe = core.pe(1, 2);
+    const int acc = last_set(1, 1);
+    const double t = pe.mac.issue_port_free();
+    switch (nudge) {
+      case kNone: break;
+      case kMemA: pe.mem_a.read(0, t); break;
+      case kIssue: pe.mac.occupy(t, 1.0); break;
+      case kRowBus: core.broadcast_row(1, sim::at(0.0, t)); break;
+      case kAccTimes: pe.mac.set_acc(acc, sim::at(0.0, pe.mac.read_acc(acc).ready + 1.0)); break;
+      case kOffGrid: pe.mac.occupy(t, 1.0 / 3.0); break;
+    }
+    const sim::MeshLanes before = core.lanes();
+    const double jump = core.close_blocks(6, acc);
+    if (nudge == kNone) {
+      EXPECT_GT(jump, 0.0);
+    } else {
+      EXPECT_EQ(jump, 0.0) << "nudge " << nudge;
+      EXPECT_EQ(core.lanes().words, before.words) << "nudge " << nudge;
+      EXPECT_EQ(core.lanes().counts, before.counts) << "nudge " << nudge;
+    }
+  }
+}
+
+TEST(Rank1Sweep, ChipGemmClosesRepeatedColumnBlocksOnTheGridOnly) {
+  // The sized CHIP_GEMM request at n = 64 (2 cores, 4 words/cycle each,
+  // mc = kc = nr) closes all but two of each segment's 16 column blocks;
+  // 7 words/cycle over 3 cores puts every transfer off the grid, so every
+  // block is stepped. Both results match the digests of the simulator that
+  // stepped every block.
+  constexpr test::DigestEntry kDigests[] = {
+#include "sim_digests.inc"
+  };
+  constexpr test::ChipGemmDigest kChipGemmDigests[] = {
+#include "chip_gemm_digests.inc"
+  };
+  const SimExecutor sim;
+  const arch::CoreConfig cfg = arch::lac_4x4_dp();
+  const KernelTraits& t = kernel_traits(KernelKind::ChipGemm);
+  const index_t n = 64;
+  std::uint64_t ff = ff_steps();
+  const KernelResult sized = sim.execute(t.sized_request(cfg, 0.5, n, 1));
+  ff = ff_steps() - ff;
+  ASSERT_TRUE(sized.ok) << sized.error;
+  const std::uint64_t segments = static_cast<std::uint64_t>(n / cfg.nr * 2 * (n / 2 / cfg.nr));
+  EXPECT_EQ(ff, segments * static_cast<std::uint64_t>((n / cfg.nr - 2) * cfg.nr * cfg.nr));
+  bool found = false;
+  for (const test::DigestEntry& e : kDigests)
+    if (std::string(e.kind) == "CHIP_GEMM" && e.nr == cfg.nr && e.n == n && e.bw == 0.5 &&
+        e.seed == 1) {
+      EXPECT_EQ(test::digest(sized), e.digest);
+      found = true;
+    }
+  EXPECT_TRUE(found);
+
+  const test::ChipGemmBlocking off_grid{4, 3, 7.0, 4, 4};
+  ff = ff_steps();
+  const KernelResult stepped = sim.execute(test::chip_gemm_request(off_grid));
+  ff = ff_steps() - ff;
+  ASSERT_TRUE(stepped.ok) << stepped.error;
+  EXPECT_EQ(ff, 0u);
+  found = false;
+  for (const test::ChipGemmDigest& e : kChipGemmDigests) {
+    const test::ChipGemmBlocking& b = e.blocking;
+    if (b.nr == off_grid.nr && b.cores == off_grid.cores && b.onchip_bw == off_grid.onchip_bw &&
+        b.mc == off_grid.mc && b.kc == off_grid.kc) {
+      EXPECT_EQ(test::digest(stepped), e.digest);
+      found = true;
+    }
+  }
+  EXPECT_TRUE(found);
 }
 
 }  // namespace

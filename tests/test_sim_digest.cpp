@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <map>
 #include <sstream>
 #include <string>
@@ -20,71 +19,20 @@
 #include "arch/presets.hpp"
 #include "fabric/kernel_registry.hpp"
 #include "fabric/sim_executor.hpp"
+#include "sim_digest.hpp"
 
 namespace lac::fabric {
 namespace {
 
-struct DigestEntry {
-  const char* kind;
-  int nr;
-  index_t n;
-  double bw;
-  std::uint64_t seed;
-  std::uint64_t digest;
-};
-
-constexpr DigestEntry kDigests[] = {
+constexpr test::DigestEntry kDigests[] = {
 #include "sim_digests.inc"
 };
 
-/// FNV-1a over the bytes of every field a simulated result carries.
-class Fnv {
- public:
-  template <typename T>
-  void add(const T& v) {
-    unsigned char bytes[sizeof(T)];
-    std::memcpy(bytes, &v, sizeof(T));
-    for (unsigned char b : bytes) h_ = (h_ ^ b) * 1099511628211ull;
-  }
-  void add(const std::string& s) {
-    add(s.size());
-    for (char c : s) add(c);
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 14695981039346656037ull;
+constexpr test::ChipGemmDigest kChipGemmDigests[] = {
+#include "chip_gemm_digests.inc"
 };
 
-std::uint64_t digest(const KernelResult& r) {
-  Fnv f;
-  f.add(r.ok);
-  f.add(r.error);
-  f.add(r.out.rows());
-  f.add(r.out.cols());
-  for (index_t i = 0; i < r.out.rows(); ++i)
-    for (index_t j = 0; j < r.out.cols(); ++j) f.add(r.out(i, j));
-  f.add(r.pivots.size());
-  for (index_t p : r.pivots) f.add(p);
-  f.add(r.taus.size());
-  for (double t : r.taus) f.add(t);
-  f.add(r.scalar);
-  f.add(r.spectrum.size());
-  for (const auto& z : r.spectrum) {
-    f.add(z.real());
-    f.add(z.imag());
-  }
-  f.add(r.cycles.value());
-  f.add(r.utilization);
-  f.add(r.energy_nj.value());
-  f.add(r.avg_power_w.value());
-  const sim::Stats& s = r.stats;
-  for (std::int64_t c : {s.mac_ops, s.mul_ops, s.cmp_ops, s.mem_a_reads, s.mem_a_writes,
-                         s.mem_b_reads, s.mem_b_writes, s.rf_reads, s.rf_writes,
-                         s.row_bus_xfers, s.col_bus_xfers, s.sfu_ops, s.dma_words})
-    f.add(c);
-  return f.value();
-}
+using test::digest;
 
 std::string table_line(const char* kind, int nr, index_t n, double bw,
                        std::uint64_t seed, std::uint64_t d) {
@@ -97,7 +45,7 @@ std::string table_line(const char* kind, int nr, index_t n, double bw,
 TEST(SimDigest, EveryKindMatchesTheOpByOpSimulator) {
   std::map<std::tuple<std::string, int, index_t, double, std::uint64_t>, std::uint64_t>
       expected;
-  for (const DigestEntry& e : kDigests)
+  for (const test::DigestEntry& e : kDigests)
     expected[{e.kind, e.nr, e.n, e.bw, e.seed}] = e.digest;
 
   struct Grid {
@@ -128,6 +76,44 @@ TEST(SimDigest, EveryKindMatchesTheOpByOpSimulator) {
           }
     }
   EXPECT_EQ(checked, 10 * (7 * 6 * 3 + 4 * 3));
+  EXPECT_EQ(expected.size(), static_cast<std::size_t>(checked));
+  std::ostringstream lines;
+  for (const std::string& m : mismatches) lines << m << "\n";
+  EXPECT_TRUE(mismatches.empty()) << mismatches.size() << " of " << checked
+                                  << " results differ from the table:\n"
+                                  << lines.str();
+}
+
+TEST(SimDigest, ChipGemmBlockingsMatchTheirDigests) {
+  // CHIP_GEMM beyond the sized_request point (2 cores, 4 words/cycle each,
+  // mc = kc = nr): 1-4 cores, on-chip bandwidths whose per-core block
+  // transfers land on the dyadic grid or off it (7 words/cycle over 3
+  // cores), and every mc, kc in {nr, 2nr, 4nr}. The table was recorded
+  // with the simulator that stepped every column block and staged every
+  // value through MEM-A, MEM-B and the accumulators.
+  std::map<std::tuple<int, int, double, index_t, index_t>, std::uint64_t> expected;
+  for (const test::ChipGemmDigest& e : kChipGemmDigests) {
+    const test::ChipGemmBlocking& b = e.blocking;
+    expected[{b.nr, b.cores, b.onchip_bw, b.mc, b.kc}] = e.digest;
+  }
+  const SimExecutor sim;
+  int checked = 0;
+  std::vector<std::string> mismatches;
+  for (int nr : {4, 8})
+    for (int cores = 1; cores <= 4; ++cores)
+      for (double bw : {1.0, 6.0, 7.0, 8.0})
+        for (index_t mc : {nr, 2 * nr, 4 * nr})
+          for (index_t kc : {nr, 2 * nr, 4 * nr}) {
+            const test::ChipGemmBlocking b{nr, cores, bw, mc, kc};
+            const KernelResult r = sim.execute(test::chip_gemm_request(b));
+            EXPECT_TRUE(r.ok) << r.error;
+            const std::uint64_t d = digest(r);
+            auto it = expected.find({nr, cores, bw, mc, kc});
+            if (it == expected.end() || it->second != d)
+              mismatches.push_back(test::table_line(b, d));
+            ++checked;
+          }
+  EXPECT_EQ(checked, 2 * 4 * 4 * 3 * 3);
   EXPECT_EQ(expected.size(), static_cast<std::size_t>(checked));
   std::ostringstream lines;
   for (const std::string& m : mismatches) lines << m << "\n";
